@@ -57,6 +57,8 @@ def _parse_failure(text: str) -> tuple[int, analysis.FailureScenario]:
         when = int(at)
     except ValueError as exc:
         raise UsageError(f"bad failure spec {text!r}: missing @time") from exc
+    if when < 1:
+        raise UsageError(f"bad failure spec {text!r}: step time must be at least 1")
     if what == "center":
         return when, analysis.CenterSwitchFailure()
     if what.startswith("cable:"):
@@ -229,6 +231,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     topo = build_topology(_KIND_NAMES[args.topology], args.n)
     failures = tuple(sorted((_parse_failure(f) for f in args.fail), key=lambda x: x[0]))
     config = simengine.SimConfig(topology=topo, key_bits=args.k, failures=failures)

@@ -1,7 +1,8 @@
 """Exact minimum step counts by exhaustive search, plus counting bounds.
 
-The search is iterative deepening on the step count, starting from an
-arithmetic lower bound (total work divided by the best possible step).
+The search is iterative deepening on the step count, starting from a
+counting lower bound: the matching bound for capacity-1 hosts, the cut
+bound floor(n^2/4) for the chain.
 Within a step, candidate exchanges are branched in canonical pair order
 and the globally smallest uncovered pair is forced into the current step,
 which breaks step-permutation symmetry.
@@ -19,7 +20,7 @@ from .schedule import PairExchange, SbepStep, Schedule
 from .topology import TopologyKind, build_topology
 
 EXHAUSTIVE_CEILING = 8
-LCH_CEILING = 6
+LCH_CEILING = 8
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,18 @@ def chromatic_index_lower_bound(n: int) -> int:
     return n - 1 if n % 2 == 0 else n
 
 
+def chain_cut_lower_bound(n: int) -> int:
+    """Minimum steps of any chain schedule for n hosts: floor(n^2 / 4).
+
+    Segment k (between hosts k and k+1) lies inside the spans of k(n-k)
+    pairs, and a step can use a segment for at most one exchange; the
+    middle segment gives the bound.
+    """
+    if n < 2:
+        raise InvalidSizeError(f"need at least 2 hosts, got {n}")
+    return n * n // 4
+
+
 def _compatible_matching(step: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
     a, b = cand
     return all(a != x and a != y and b != x and b != y for x, y in step)
@@ -48,14 +61,25 @@ def _compatible_interval(step: list[tuple[int, int]], cand: tuple[int, int]) -> 
     return all(hi <= x or lo >= y for x, y in step)
 
 
-def _search_min_cover(n, pairs, compatible, step_weight, capacity_per_step):
+def _chain_steps_needed(n: int, remaining: list[tuple[int, int]]) -> int:
+    """Most remaining pairs crossing one chain segment: each step carries at
+    most one exchange over a segment, so no fewer steps can cover them."""
+    load = [0] * n
+    for lo, hi in remaining:
+        for seg in range(lo, hi):
+            load[seg] += 1
+    return max(load)
+
+
+def _search_min_cover(pairs, compatible, start, steps_needed):
     """Smallest number of steps covering ``pairs``; returns (count, steps).
 
-    ``step_weight(pair)`` and ``capacity_per_step`` give the counting bound
-    used both for the starting depth and for pruning.
+    The search deepens from ``start``, a proven lower bound on the count.
+    ``steps_needed(remaining)`` is a lower bound on the steps any cover of
+    ``remaining`` takes; a node whose bound exceeds its steps left is cut.
+    Both bounds are sound, so the first witness found is the one a search
+    from depth 1 without cuts would find.
     """
-    total = sum(step_weight(p) for p in pairs)
-    lower = max(1, math.ceil(total / capacity_per_step))
 
     def extend(step, cand, remaining, steps_left, acc):
         if not cand:
@@ -73,15 +97,13 @@ def _search_min_cover(n, pairs, compatible, step_weight, capacity_per_step):
     def cover(remaining, steps_left, acc):
         if not remaining:
             return acc
-        if steps_left == 0:
-            return None
-        if sum(step_weight(p) for p in remaining) > steps_left * capacity_per_step:
+        if steps_needed(remaining) > steps_left:
             return None
         # WLOG the smallest remaining pair opens the current step.
         first, rest = remaining[0], remaining[1:]
         return extend([first], tuple(rest), remaining, steps_left, acc)
 
-    depth = lower
+    depth = start
     while True:
         found = cover(list(pairs), depth, [])
         if found is not None:
@@ -92,16 +114,19 @@ def _search_min_cover(n, pairs, compatible, step_weight, capacity_per_step):
 def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
     """Exact minimum SBEP count for ``kind`` with a witness schedule.
 
-    Exhaustive up to n=8 (n=6 for the chain model); larger sizes raise
+    Exhaustive up to n=8 for every model; larger sizes raise
     SearchTooLargeError and should use the bound operations instead.
     """
     if n < 2:
         raise InvalidSizeError(f"need at least 2 hosts, got {n}")
-    ceiling = LCH_CEILING if kind is TopologyKind.LCH else EXHAUSTIVE_CEILING
+    if kind is TopologyKind.LCH:
+        ceiling, instead = LCH_CEILING, "chain_cut_lower_bound"
+    else:
+        ceiling, instead = EXHAUSTIVE_CEILING, "chromatic_index_lower_bound / overhead_table"
     if n > ceiling:
         raise SearchTooLargeError(
             f"exhaustive search capped at n={ceiling} for {kind.value}; "
-            "use chromatic_index_lower_bound / overhead_table instead"
+            f"use {instead} instead"
         )
     topo = build_topology(kind, n)
     pairs = sorted(combinations(range(1, n + 1), 2))
@@ -110,19 +135,17 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
         count, steps = 1, [pairs]
     elif kind is TopologyKind.LCH:
         count, steps = _search_min_cover(
-            n,
             pairs,
             _compatible_interval,
-            step_weight=lambda p: p[1] - p[0],
-            capacity_per_step=n - 1,
+            start=chain_cut_lower_bound(n),
+            steps_needed=lambda rest: _chain_steps_needed(n, rest),
         )
     else:
         count, steps = _search_min_cover(
-            n,
             pairs,
             _compatible_matching,
-            step_weight=lambda p: 1,
-            capacity_per_step=n // 2,
+            start=chromatic_index_lower_bound(n),
+            steps_needed=lambda rest: math.ceil(len(rest) / (n // 2)),
         )
 
     witness = Schedule(

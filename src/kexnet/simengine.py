@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import FailureScenario, capable_pairs
+from .analysis import FailureScenario, _check_scenario, capable_pairs
 from .protocols import generate_schedule
 from .topology import NetworkTopology
 
@@ -28,6 +28,8 @@ class SimConfig:
             raise ValueError("failure step_time must be >= 1")
         if list(self.failures) != sorted(self.failures, key=lambda f: f[0]):
             raise ValueError("failures must be sorted by step_time")
+        for _, scenario in self.failures:
+            _check_scenario(self.topology, scenario)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,22 @@ def test_bad_failure_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--k", "0"], 2),
+        (["--fail", "center@0"], 2),
+        (["--fail", "cable:99@1000"], 3),
+    ],
+)
+def test_simulate_bad_input(argv, code, capsys):
+    got, out, err = run_cli(
+        capsys, "simulate", "--topology", "star", "--n", "5", *argv
+    )
+    assert (got, out) == (code, "")
+    assert err.startswith("kexnet: ") and err.count("\n") == 1
+
+
 def test_regress(capsys):
     code, out, _ = run_cli(capsys, "regress", "--n-max", "20")
     assert code == 0

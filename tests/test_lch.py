@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kexnet.cli import main
+from kexnet.errors import InvalidSizeError
+from kexnet.oracle import chain_cut_lower_bound, min_steps_bruteforce
 from kexnet.protocols import generate_lch
 from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
 from kexnet.topology import TopologyKind, build_topology
@@ -53,3 +55,31 @@ def test_matches_reference_greedy(n):
 def test_cli_matches_golden(argv, golden, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@given(n=st.integers(min_value=2, max_value=500))
+def test_cut_bound_is_the_busiest_segment(n):
+    assert chain_cut_lower_bound(n) == max(k * (n - k) for k in range(1, n))
+
+
+def test_cut_bound_rejects_tiny():
+    with pytest.raises(InvalidSizeError):
+        chain_cut_lower_bound(1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cut_bound_is_the_oracle_minimum(n):
+    assert min_steps_bruteforce(TopologyKind.LCH, n).min_steps == chain_cut_lower_bound(n)
+
+
+@pytest.mark.parametrize("n", range(2, 81))
+def test_schedule_meets_cut_bound(n):
+    schedule = generate_lch(n)
+    assert len(schedule.steps) == chain_cut_lower_bound(n) == n * n // 4
+    crossings = [0] * n
+    for e in schedule.all_exchanges():
+        lo, hi = e.span
+        for seg in range(lo, hi):
+            crossings[seg] += 1
+    assert crossings[1:] == [k * (n - k) for k in range(1, n)]
+    assert validate_schedule(schedule).ok

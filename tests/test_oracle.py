@@ -41,8 +41,13 @@ def test_witnesses_validate(kind, n):
 def test_search_ceiling():
     with pytest.raises(SearchTooLargeError):
         min_steps_bruteforce(TopologyKind.STAR, 9)
+    assert min_steps_bruteforce(TopologyKind.LCH, 7).min_steps == 12
+    result = min_steps_bruteforce(TopologyKind.LCH, 8)
+    assert result.min_steps == 16
+    assert validate_schedule(result.witness).ok
+    assert len(result.witness.steps) == 16
     with pytest.raises(SearchTooLargeError):
-        min_steps_bruteforce(TopologyKind.LCH, 7)
+        min_steps_bruteforce(TopologyKind.LCH, 9)
 
 
 def test_bound_examples():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kexnet.analysis import CableFailure, CenterSwitchFailure
+from kexnet.errors import InvalidScenarioError
 from kexnet.simengine import SimConfig, run, utilization_profile
 from kexnet.topology import TopologyKind, build_topology
 
@@ -103,3 +104,6 @@ def test_config_validation():
             topology=star(3),
             failures=((5, CenterSwitchFailure()), (2, CenterSwitchFailure())),
         )
+    # scenarios are checked when the config is built, not when they activate
+    with pytest.raises(InvalidScenarioError):
+        SimConfig(topology=star(3), failures=((1000, CableFailure(99)),))
