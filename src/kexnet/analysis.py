@@ -101,17 +101,10 @@ FailureScenario = CableFailure | KeyExchangerFailure | CenterSwitchFailure
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    reachable_pairs: frozenset[frozenset[int]]
+    reachable_pairs: frozenset[tuple[int, int]]
     isolated_hosts: frozenset[int]
     components: tuple[frozenset[int], ...]
     degraded_hosts: frozenset[int] = field(default=frozenset())
-
-
-def _fcn_slot_peer(n: int, host: int, slot: int) -> int:
-    peers = [h for h in range(1, n + 1) if h != host]
-    if not 1 <= slot <= len(peers):
-        raise InvalidScenarioError(f"host {host} has no exchanger slot {slot}")
-    return peers[slot - 1]
 
 
 def _check_scenario(t: NetworkTopology, f: FailureScenario) -> None:
@@ -153,25 +146,20 @@ def _check_scenario(t: NetworkTopology, f: FailureScenario) -> None:
 
 def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
-) -> tuple[frozenset[frozenset[int]], frozenset[int]]:
-    """(pairs that can still exchange, hosts with degraded capacity)."""
+) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+    """((low, high) pairs that can still exchange, hosts with degraded capacity)."""
     n = t.n_hosts
     for f in failures:
         _check_scenario(t, f)
-    all_pairs = {
-        frozenset((a, b)) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    }
-    degraded: set[int] = set()
+    all_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
     if t.kind is TopologyKind.STAR:
         if any(isinstance(f, CenterSwitchFailure) for f in failures):
             return frozenset(), frozenset()
         dead = {f.ident for f in failures if isinstance(f, CableFailure)}
         dead |= {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
-        return (
-            frozenset(p for p in all_pairs if not p & dead),
-            frozenset(),
-        )
+        ok = {(a, b) for a, b in all_pairs if not (a in dead or b in dead)}
+        return frozenset(ok), frozenset()
 
     if t.kind is TopologyKind.LCH:
         cut = {f.ident for f in failures if isinstance(f, CableFailure)}
@@ -182,28 +170,28 @@ def capable_pairs(
         dead = {h for h, slots in slot_hits.items() if len(slots) >= 2}
         degraded = {h for h in slot_hits if h not in dead}
         ok = set()
-        for p in all_pairs:
-            lo, hi = min(p), max(p)
-            if p & dead:
+        for lo, hi in all_pairs:
+            if lo in dead or hi in dead:
                 continue
             if any(lo <= seg < hi for seg in cut):
                 continue
-            ok.add(p)
+            ok.add((lo, hi))
         return frozenset(ok), frozenset(degraded)
 
     # fully connected variants
     dead_cables = {
-        frozenset(f.ident) for f in failures if isinstance(f, CableFailure)
+        tuple(sorted(f.ident)) for f in failures if isinstance(f, CableFailure)
     }
     ok = {p for p in all_pairs if p not in dead_cables}
     if t.kind is TopologyKind.FCN_SINGLE:
         dead = {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
-        ok = {p for p in ok if not p & dead}
+        ok = {(a, b) for a, b in ok if not (a in dead or b in dead)}
     else:
         for f in failures:
             if isinstance(f, KeyExchangerFailure):
-                peer = _fcn_slot_peer(n, f.host, f.slot)
-                ok.discard(frozenset((f.host, peer)))
+                # Slots map to the host's peers in ascending order.
+                peer = f.slot + (f.slot >= f.host)
+                ok.discard(tuple(sorted((f.host, peer))))
     return frozenset(ok), frozenset()
 
 
@@ -217,8 +205,7 @@ def apply_failures(
     """
     ok, degraded = capable_pairs(t, failures)
     adj: dict[int, set[int]] = {h: set() for h in t.hosts()}
-    for p in ok:
-        a, b = sorted(p)
+    for a, b in ok:
         adj[a].add(b)
         adj[b].add(a)
     components = []

@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import analysis, oracle, protocols, serialize, simengine
-from .errors import KexnetError
+from .errors import KexnetError, ScheduleFormatError
 from .plotting import scatter_with_line
 from .schedule import validate_schedule
 from .topology import TopologyKind, build_topology
@@ -22,13 +22,6 @@ from .topology import TopologyKind, build_topology
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_KIND_NAMES = {
-    "star": TopologyKind.STAR,
-    "fcn-full": TopologyKind.FCN_FULL,
-    "fcn1": TopologyKind.FCN_SINGLE,
-    "lch": TopologyKind.LCH,
-}
 
 
 class UsageError(Exception):
@@ -99,29 +92,19 @@ def _write_out(path: str | None, content: str) -> None:
         raise
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-    ]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    return "".join(",".join(r) + "\n" for r in [header] + rows)
-
-
-def _tabular(fmt: str, header: list[str], rows: list[list[str]], json_doc) -> str:
-    if fmt == "csv":
-        return _csv(header, rows)
+def _tabular(fmt: str, records: list[dict], doc=None) -> str:
+    """Render records (dicts keyed by column name) as a table or csv, or
+    as json: ``doc`` if given, else the records themselves."""
     if fmt == "json":
-        return json.dumps(json_doc, indent=2) + "\n"
-    return _table(header, rows)
+        return json.dumps(records if doc is None else doc, indent=2) + "\n"
+    header = list(records[0])
+    rows = [header] + [[str(v) for v in r.values()] for r in records]
+    if fmt == "csv":
+        return "".join(",".join(r) + "\n" for r in rows)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in rows
+    )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -138,14 +121,13 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     r = _parse_range(args.range)
     if r.start < 2:
         raise UsageError(f"--range must start at 2 or above, got {args.range}")
-    rows = [[str(n), str(protocols.sbep_formula(n))] for n in r]
-    doc = [{"n": int(r[0]), "sbep": int(r[1])} for r in rows]
-    _write_out(args.out, _tabular(args.format, ["n", "sbep"], rows, doc))
+    records = [{"n": n, "sbep": protocols.sbep_formula(n)} for n in r]
+    _write_out(args.out, _tabular(args.format, records))
     return EXIT_OK
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = protocols.generate_schedule(_KIND_NAMES[args.topology], args.n)
+    schedule = protocols.generate_schedule(TopologyKind(args.topology), args.n)
     if args.format == "json":
         content = serialize.schedule_to_json(schedule)
     else:
@@ -155,14 +137,17 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.infile) as fh:
-        text = fh.read()
+    try:
+        with open(args.infile, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScheduleFormatError(f"{args.infile} is not UTF-8 text") from exc
     if text.lstrip().startswith("{"):
         schedule = serialize.json_to_schedule(text)
     else:
         if args.topology is None or args.n is None:
             raise UsageError("text schedules need --topology and --n")
-        topo = build_topology(_KIND_NAMES[args.topology], args.n)
+        topo = build_topology(TopologyKind(args.topology), args.n)
         schedule = serialize.text_to_schedule(text, topo)
     report = validate_schedule(schedule)
     if report.ok:
@@ -178,53 +163,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    doc = []
-    for row in analysis.compare_networks(args.n):
-        c = row.costs
-        rows.append(
-            [
-                row.kind.value,
-                str(c.cable_count),
-                str(c.exchanger_count),
-                str(c.center_switch_count),
-                str(row.step_count),
-                c.class_cable.value,
-                c.class_ke.value,
-                c.class_time.value,
-                row.single_point_of_failure,
-            ]
-        )
-        doc.append(
-            {
-                "kind": row.kind.value,
-                "cables": c.cable_count,
-                "exchangers": c.exchanger_count,
-                "center_switches": c.center_switch_count,
-                "steps": row.step_count,
-                "class_cable": c.class_cable.value,
-                "class_ke": c.class_ke.value,
-                "class_time": c.class_time.value,
-                "single_point_of_failure": row.single_point_of_failure,
-            }
-        )
-    header = [
-        "kind",
-        "cables",
-        "exchangers",
-        "center_switches",
-        "steps",
-        "class_cable",
-        "class_ke",
-        "class_time",
-        "single_point_of_failure",
+    records = [
+        {
+            "kind": row.kind.value,
+            "cables": row.costs.cable_count,
+            "exchangers": row.costs.exchanger_count,
+            "center_switches": row.costs.center_switch_count,
+            "steps": row.step_count,
+            "class_cable": row.costs.class_cable.value,
+            "class_ke": row.costs.class_ke.value,
+            "class_time": row.costs.class_time.value,
+            "single_point_of_failure": row.single_point_of_failure,
+        }
+        for row in analysis.compare_networks(args.n)
     ]
-    _write_out(args.out, _tabular(args.format, header, rows, doc))
+    _write_out(args.out, _tabular(args.format, records))
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    result = oracle.min_steps_bruteforce(_KIND_NAMES[args.topology], args.n)
+    result = oracle.min_steps_bruteforce(TopologyKind(args.topology), args.n)
     body = serialize.schedule_to_text(result.witness)
     _write_out(args.out, f"min_steps {result.min_steps}\n{body}")
     return EXIT_OK
@@ -233,36 +191,31 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be at least 1, got {args.k}")
-    topo = build_topology(_KIND_NAMES[args.topology], args.n)
+    topo = build_topology(TopologyKind(args.topology), args.n)
     failures = tuple(sorted((_parse_failure(f) for f in args.fail), key=lambda x: x[0]))
     config = simengine.SimConfig(topology=topo, key_bits=args.k, failures=failures)
     report = simengine.run(config)
-    pairs = sorted(report.bits_per_pair, key=sorted)
-    rows = [
-        [f"{min(p)}-{max(p)}", str(report.bits_per_pair[p])] for p in pairs
+    records = [
+        {"pair": f"{a}-{b}", "bits": report.bits_per_pair[a, b]}
+        for a, b in sorted(report.bits_per_pair)
     ]
     summary = simengine.utilization_profile(report)
     doc = {
         "steps_executed": report.steps_executed,
-        "bits_per_pair": {f"{min(p)}-{max(p)}": report.bits_per_pair[p] for p in pairs},
-        "lost_pairs": sorted(f"{min(p)}-{max(p)}" for p in report.lost_pairs),
+        "bits_per_pair": {r["pair"]: r["bits"] for r in records},
+        "lost_pairs": sorted(f"{a}-{b}" for a, b in report.lost_pairs),
         "utilization": {
             "min": summary.minimum,
             "mean": summary.mean,
             "max": summary.maximum,
         },
     }
-    if args.format == "csv":
-        _write_out(args.out, _csv(["pair", "bits"], rows))
-        return EXIT_OK
-    if args.format == "json":
-        _write_out(args.out, json.dumps(doc, indent=2) + "\n")
-        return EXIT_OK
-    out = _table(["pair", "bits"], rows)
-    out += (
-        f"steps_executed {report.steps_executed}\n"
-        f"lost_pairs {len(report.lost_pairs)}\n"
-    )
+    out = _tabular(args.format, records, doc)
+    if args.format == "table":
+        out += (
+            f"steps_executed {report.steps_executed}\n"
+            f"lost_pairs {len(report.lost_pairs)}\n"
+        )
     _write_out(args.out, out)
     return EXIT_OK
 
@@ -293,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure-bit-exchange schedules for key-exchange networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = sorted(k.value for k in TopologyKind)
 
     p = sub.add_parser("formula", help="SBEP step counts for the star protocol")
     p.add_argument("--n", type=int)
@@ -301,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("schedule", help="generate a schedule")
-    p.add_argument("--topology", choices=sorted(_KIND_NAMES), required=True)
+    p.add_argument("--topology", choices=kinds, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
@@ -309,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a schedule file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--topology", choices=sorted(_KIND_NAMES))
+    p.add_argument("--topology", choices=kinds)
     p.add_argument("--n", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_validate)
@@ -320,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("oracle", help="exact minimum step count by exhaustive search")
-    p.add_argument("--topology", choices=sorted(_KIND_NAMES), required=True)
+    p.add_argument("--topology", choices=kinds, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("simulate", help="run the key-accumulation simulator")
-    p.add_argument("--topology", choices=sorted(_KIND_NAMES), required=True)
+    p.add_argument("--topology", choices=kinds, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1, help="key bits per pair")
     p.add_argument(

@@ -41,3 +41,7 @@ class DegenerateFitError(KexnetError):
 
 class InvalidScenarioError(KexnetError):
     """Failure scenario references a component the topology does not have."""
+
+
+class ScheduleFormatError(KexnetError, ValueError):
+    """A schedule is not valid text or JSON schedule syntax."""

@@ -30,13 +30,9 @@ class PairExchange:
             raise ValueError(f"host {self.initiator} cannot exchange with itself")
 
     @property
-    def pair(self) -> frozenset[int]:
-        """Unordered identity of the exchange."""
-        return frozenset((self.initiator, self.responder))
-
-    @property
     def span(self) -> tuple[int, int]:
-        """(low, high) wire interval occupied on a chain."""
+        """(low, high): the unordered identity of the exchange, and on a
+        chain the wire interval it occupies."""
         a, b = self.initiator, self.responder
         return (a, b) if a < b else (b, a)
 
@@ -144,23 +140,23 @@ def validate_schedule(s: Schedule) -> ValidationReport:
         if t.kind is TopologyKind.LCH:
             violations.extend(_step_interval_violations(step, t))
 
-    seen: dict[frozenset[int], int] = {}
+    seen: dict[tuple[int, int], int] = {}
     for step in s.steps:
         for e in step.exchanges:
-            if e.pair in seen:
-                a, b = e.span
+            p = e.span
+            if p in seen:
                 violations.append(
                     Violation(
                         step.index,
                         "duplicate-pair",
-                        f"({a},{b}) already exchanged in step {seen[e.pair]}",
+                        f"({p[0]},{p[1]}) already exchanged in step {seen[p]}",
                     )
                 )
             else:
-                seen[e.pair] = step.index
+                seen[p] = step.index
     for a in t.hosts():
         for b in range(a + 1, t.n_hosts + 1):
-            if frozenset((a, b)) not in seen:
+            if (a, b) not in seen:
                 violations.append(Violation(None, "missing-pair", f"({a},{b})"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -185,12 +181,12 @@ def host_states(step: SbepStep, n: int) -> dict[int, HostState]:
     return dict(sorted(states.items()))
 
 
-def pair_coverage(s: Schedule) -> dict[frozenset[int], int]:
-    """How many times each unordered host pair appears in the schedule."""
+def pair_coverage(s: Schedule) -> dict[tuple[int, int], int]:
+    """How many times each (low, high) host pair appears in the schedule."""
     n = s.topology.n_hosts
-    counts: dict[frozenset[int], int] = {
-        frozenset((a, b)): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
+    counts: dict[tuple[int, int], int] = {
+        (a, b): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
     }
     for e in s.all_exchanges():
-        counts[e.pair] = counts.get(e.pair, 0) + 1
+        counts[e.span] = counts.get(e.span, 0) + 1
     return counts

@@ -11,7 +11,8 @@ supplied separately. The JSON format is self-describing::
     {"topology": {"kind": "star", "n_hosts": 5},
      "steps": [[[1, 2], [3, 4]], ...]}
 
-Both formats round-trip bit-exactly.
+Both formats round-trip bit-exactly. Host ids are integers; any other
+input raises ScheduleFormatError.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 
+from .errors import ScheduleFormatError
 from .schedule import PairExchange, SbepStep, Schedule
 from .topology import TopologyKind, build_topology, NetworkTopology
 
@@ -44,11 +46,14 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
             continue
         m = _STEP_RE.match(line)
         if m is None:
-            raise ValueError(f"malformed schedule line: {line!r}")
-        index = int(m.group(1))
-        exchanges = tuple(
-            PairExchange(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))
-        )
+            raise ScheduleFormatError(f"malformed schedule line: {line!r}")
+        try:
+            index = int(m.group(1))
+            exchanges = tuple(
+                PairExchange(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))
+            )
+        except ValueError as exc:
+            raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
         steps.append(SbepStep(index=index, exchanges=exchanges))
     return Schedule(topology=topology, steps=tuple(steps))
 
@@ -64,12 +69,19 @@ def schedule_to_json(s: Schedule) -> str:
 
 
 def json_to_schedule(text: str) -> Schedule:
-    doc = json.loads(text)
-    topology = build_topology(
-        TopologyKind(doc["topology"]["kind"]), int(doc["topology"]["n_hosts"])
-    )
-    steps = tuple(
-        SbepStep(index=i + 1, exchanges=tuple(PairExchange(a, b) for a, b in step))
-        for i, step in enumerate(doc["steps"])
-    )
-    return Schedule(topology=topology, steps=steps)
+    try:
+        doc = json.loads(text)
+        kind = TopologyKind(doc["topology"]["kind"])
+        n_hosts = doc["topology"]["n_hosts"]
+        steps = tuple(
+            SbepStep(index=i + 1, exchanges=tuple(PairExchange(a, b) for a, b in step))
+            for i, step in enumerate(doc["steps"])
+        )
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ScheduleFormatError(f"malformed JSON schedule: {exc}") from exc
+    ids = [n_hosts]
+    for step in steps:
+        ids.extend(h for e in step.exchanges for h in (e.initiator, e.responder))
+    if any(type(h) is not int for h in ids):
+        raise ScheduleFormatError("n_hosts and host ids must be integers")
+    return Schedule(topology=build_topology(kind, n_hosts), steps=steps)

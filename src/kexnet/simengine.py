@@ -35,9 +35,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimReport:
     steps_executed: int
-    bits_per_pair: dict[frozenset[int], int]
+    bits_per_pair: dict[tuple[int, int], int]
     host_utilization: dict[int, float]
-    lost_pairs: frozenset[frozenset[int]]
+    lost_pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def run(config: SimConfig) -> SimReport:
     topo = config.topology
     schedule = generate_schedule(topo.kind, topo.n_hosts)
     n = topo.n_hosts
-    bits: dict[frozenset[int], int] = {
-        frozenset((a, b)): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
+    bits: dict[tuple[int, int], int] = {
+        (a, b): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
     }
     active_steps = {h: 0 for h in topo.hosts()}
 
@@ -78,8 +78,9 @@ def run(config: SimConfig) -> SimReport:
                 ok, _ = capable_pairs(topo, active)
             active_hosts: set[int] = set()
             for e in step.exchanges:
-                if e.pair in ok:
-                    bits[e.pair] += 1
+                p = e.span
+                if p in ok:
+                    bits[p] += 1
                     active_hosts.update((e.initiator, e.responder))
             for h in active_hosts:
                 active_steps[h] += 1

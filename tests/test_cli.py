@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kexnet.cli import main
 
@@ -80,6 +84,94 @@ def test_validate_text_input(tmp_path, capsys):
     )
     assert code == 3
     assert "duplicate-pair" in out
+
+
+_SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _SCHEDULE_HEAD + b"[[[1, 1]]]}",
+        b"{not json",
+        b"garbage\n",
+        _SCHEDULE_HEAD + b'[[["1", "2"]]]}',
+        _SCHEDULE_HEAD + b"[[[1, 2, 3]]]}",
+        b'{"topology": {"kind": "ring", "n_hosts": 3}, "steps": []}',
+        b"\xff\xfestep 1: (1,2)\n",
+        b"step 1: (1,1)\n",
+    ],
+    ids=[
+        "self-pair", "bad-json", "garbage-line", "string-ids", "3-element-pair",
+        "unknown-kind", "not-utf8", "text-self-pair",
+    ],
+)
+def test_validate_malformed_file(data, tmp_path, capsys):
+    path = tmp_path / "s"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "validate", "--in", str(path), "--topology", "star", "--n", "3"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("kexnet: ") and err.count("\n") == 1
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["topology", "kind", "n_hosts", "steps"]) | st.text(max_size=2),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+_schedule_docs = st.fixed_dictionaries(
+    {
+        "topology": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["star", "lch", "fcn1", "ring"]) | _json_values,
+             "n_hosts": st.integers(-1, 5) | _json_values}
+        ),
+        "steps": st.lists(
+            st.lists(st.lists(st.integers(-1, 6), max_size=3) | _json_values, max_size=3),
+            max_size=4,
+        ),
+    }
+)
+_text_lines = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3),
+    ),
+    max_size=5,
+).map(
+    lambda steps: "".join(
+        f"step {i}: " + " ".join(f"({a},{b})" for a, b in pairs) + "\n"
+        for i, pairs in steps
+    )
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.binary(max_size=200)
+    | st.one_of(_json_values, _schedule_docs).map(lambda d: json.dumps(d).encode())
+    | _text_lines.map(str.encode)
+)
+def test_validate_any_bytes_no_traceback(data):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "s"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                ["validate", "--in", str(path), "--topology", "star", "--n", "4"]
+            )
+    assert code in {0, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue().startswith("invalid\n") or err.getvalue().count("\n") == 1
 
 
 def test_compare_csv(capsys):
