@@ -1,9 +1,11 @@
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kexnet.errors import InvalidSizeError
+from kexnet.cli import main
+from kexnet.errors import InvalidSizeError, ProtocolConstructionError
 from kexnet.oracle import chromatic_index_lower_bound, min_steps_bruteforce
 from kexnet.protocols import (
     generate_fcn_full,
@@ -14,8 +16,10 @@ from kexnet.protocols import (
     raw_distance_steps,
     sbep_formula,
 )
-from kexnet.schedule import validate_schedule
-from kexnet.topology import TopologyKind
+from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
+from kexnet.topology import TopologyKind, build_topology
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # Published step counts for star networks of 2..20 hosts.
 STEP_TABLE = {
@@ -168,3 +172,162 @@ def test_star_never_beats_chromatic_bound(n):
 @pytest.mark.parametrize("n", [2, 7, 20])
 def test_generators_deterministic(gen, n):
     assert gen(n) == gen(n) == gen(n)
+
+
+# --- the original star generator, kept as the reference ---------------------
+
+
+def _reference_cycles(n: int, d: int) -> list[list[int]]:
+    """Vertex cycles of the +d step on hosts 1..n, traversal order."""
+    out = []
+    seen: set[int] = set()
+    for start in range(1, math.gcd(n, d) + 1):
+        if start in seen:
+            continue
+        cycle = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = (v - 1 + d) % n + 1
+        out.append(cycle)
+    return out
+
+
+def _reference_cycle_edges(cycle: list[int], n: int, d: int) -> list[PairExchange]:
+    return [PairExchange(v, (v - 1 + d) % n + 1) for v in cycle]
+
+
+def _reference_choose_disjoint_residuals(n, distances):
+    """One residual edge per cycle of each distance, all host-disjoint, by
+    backtracking; the edge initiated by a cycle's largest host comes first.
+    Returns {(distance, cycle_index): edge} or None."""
+    slots = []
+    for d in distances:
+        for ci, cycle in enumerate(_reference_cycles(n, d)):
+            edges = _reference_cycle_edges(cycle, n, d)
+            anchor = cycle.index(max(cycle))
+            ordered = [edges[(anchor + k) % len(edges)] for k in range(len(edges))]
+            slots.append((d, ci, ordered))
+    slots.sort(key=lambda s: (len(s[2]), s[0], s[1]))
+
+    chosen = {}
+    used: set[int] = set()
+
+    def backtrack(i: int) -> bool:
+        if i == len(slots):
+            return True
+        d, ci, ordered = slots[i]
+        for e in ordered:
+            if e.initiator in used or e.responder in used:
+                continue
+            chosen[(d, ci)] = e
+            used.update((e.initiator, e.responder))
+            if backtrack(i + 1):
+                return True
+            used.difference_update((e.initiator, e.responder))
+            del chosen[(d, ci)]
+        return False
+
+    return chosen if backtrack(0) else None
+
+
+def _reference_decompose_distance(n, d, residuals):
+    """Matchings A, B and the residual edges of one distance class;
+    ``residuals`` maps cycle index to its held-out edge, or is None."""
+    phase_a, phase_b, residual = [], [], []
+    for ci, cycle in enumerate(_reference_cycles(n, d)):
+        edges = _reference_cycle_edges(cycle, n, d)
+        length = len(edges)
+        if residuals is None:
+            path = edges
+        else:
+            r = edges.index(residuals[ci])
+            residual.append(edges[r])
+            path = [edges[(r + 1 + k) % length] for k in range(length - 1)]
+        for k, e in enumerate(path):
+            (phase_a if k % 2 == 0 else phase_b).append(e)
+    return phase_a, phase_b, residual
+
+
+def _reference_star(n: int) -> Schedule:
+    """The original star generator: every distance's cycles built twice and
+    every step sorted as PairExchange dataclasses."""
+    topo = build_topology(TopologyKind.STAR, n)
+    if n == 2:
+        return Schedule(topo, (SbepStep(1, (PairExchange(1, 2),)),))
+
+    raw = dict(raw_distance_steps(n))
+    budget = merge_budget(n)
+    residual_distances = [d for d, c in raw.items() if c == 3]
+    merged_with: dict[int, int] = {}
+    merged_into: dict[int, int] = {}
+    i = len(residual_distances)
+    for _ in range(budget):
+        if i < 2:
+            raise ProtocolConstructionError(f"not enough residual steps at n={n}")
+        lo, hi = residual_distances[i - 2], residual_distances[i - 1]
+        merged_with[lo] = hi
+        merged_into[hi] = lo
+        i -= 2
+
+    residual_edges: dict[int, dict[int, PairExchange]] = {}
+    for d in residual_distances:
+        if d in merged_into:
+            continue
+        group = [d, merged_with[d]] if d in merged_with else [d]
+        chosen = _reference_choose_disjoint_residuals(n, group)
+        if chosen is None:
+            raise ProtocolConstructionError(f"no residual assignment at n={n}")
+        for (dd, ci), e in chosen.items():
+            residual_edges.setdefault(dd, {})[ci] = e
+
+    steps: list[tuple[PairExchange, ...]] = []
+    residual_slot: dict[int, int] = {}
+    for d in range(1, n // 2 + 1):
+        count = raw[d]
+        if count == 1:
+            half = sorted(PairExchange(i, i + n // 2) for i in range(1, n // 2 + 1))
+            steps.append(tuple(half))
+            continue
+        holdout = residual_edges.get(d) if count == 3 else None
+        phase_a, phase_b, residual = _reference_decompose_distance(n, d, holdout)
+        steps.append(tuple(sorted(phase_a)))
+        steps.append(tuple(sorted(phase_b)))
+        if count == 3:
+            if d in merged_into:
+                slot = residual_slot[merged_into[d]]
+                steps[slot] = tuple(sorted(steps[slot] + tuple(residual)))
+            else:
+                residual_slot[d] = len(steps)
+                steps.append(tuple(sorted(residual)))
+
+    assert len(steps) == sbep_formula(n)
+    return Schedule(topo, tuple(SbepStep(i + 1, ex) for i, ex in enumerate(steps)))
+
+
+@pytest.mark.parametrize("n", range(2, 81))
+def test_star_matches_reference(n):
+    assert generate_star(n) == _reference_star(n)
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["schedule", "--topology", "star", "--n", str(n)], f"schedule_star{n}.txt")
+        for n in (9, 16, 17, 40)
+    ]
+    + [
+        (["schedule", "--topology", "fcn1", "--n", str(n)], f"schedule_fcn1_{n}.txt")
+        for n in (9, 10)
+    ]
+    + [
+        (
+            ["schedule", "--topology", "star", "--n", "6", "--format", "json"],
+            "schedule_star6.json",
+        )
+    ],
+)
+def test_cli_schedule_matches_golden(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
