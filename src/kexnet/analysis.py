@@ -148,17 +148,15 @@ def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
     """((low, high) pairs that can still exchange, hosts with degraded capacity)."""
-    n = t.n_hosts
     for f in failures:
         _check_scenario(t, f)
-    all_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
     if t.kind is TopologyKind.STAR:
         if any(isinstance(f, CenterSwitchFailure) for f in failures):
             return frozenset(), frozenset()
         dead = {f.ident for f in failures if isinstance(f, CableFailure)}
         dead |= {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
-        ok = {(a, b) for a, b in all_pairs if not (a in dead or b in dead)}
+        ok = {(a, b) for a, b in t.pairs() if not (a in dead or b in dead)}
         return frozenset(ok), frozenset()
 
     if t.kind is TopologyKind.LCH:
@@ -170,7 +168,7 @@ def capable_pairs(
         dead = {h for h, slots in slot_hits.items() if len(slots) >= 2}
         degraded = {h for h in slot_hits if h not in dead}
         ok = set()
-        for lo, hi in all_pairs:
+        for lo, hi in t.pairs():
             if lo in dead or hi in dead:
                 continue
             if any(lo <= seg < hi for seg in cut):
@@ -182,7 +180,7 @@ def capable_pairs(
     dead_cables = {
         tuple(sorted(f.ident)) for f in failures if isinstance(f, CableFailure)
     }
-    ok = {p for p in all_pairs if p not in dead_cables}
+    ok = {p for p in t.pairs() if p not in dead_cables}
     if t.kind is TopologyKind.FCN_SINGLE:
         dead = {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
         ok = {(a, b) for a, b in ok if not (a in dead or b in dead)}

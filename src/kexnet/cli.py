@@ -81,15 +81,18 @@ def _write_out(path: str | None, content: str) -> None:
         sys.stdout.write(content)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kexnet-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kexnet-")
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # Name the path the user asked for, not the temporary file.
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _tabular(fmt: str, records: list[dict], doc=None) -> str:
@@ -203,7 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = {
         "steps_executed": report.steps_executed,
         "bits_per_pair": {r["pair"]: r["bits"] for r in records},
-        "lost_pairs": sorted(f"{a}-{b}" for a, b in report.lost_pairs),
+        "lost_pairs": [f"{a}-{b}" for a, b in sorted(report.lost_pairs)],
         "utilization": {
             "min": summary.minimum,
             "mean": summary.mean,

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvalidSizeError, SearchTooLargeError
 from .protocols import sbep_formula
-from .schedule import PairExchange, SbepStep, Schedule
+from .schedule import Schedule
 from .topology import TopologyKind, build_topology
 
 EXHAUSTIVE_CEILING = 8
@@ -129,7 +128,7 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
             f"use {instead} instead"
         )
     topo = build_topology(kind, n)
-    pairs = sorted(combinations(range(1, n + 1), 2))
+    pairs = list(topo.pairs())
 
     if kind is TopologyKind.FCN_FULL:
         count, steps = 1, [pairs]
@@ -148,13 +147,7 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
             steps_needed=lambda rest: math.ceil(len(rest) / (n // 2)),
         )
 
-    witness = Schedule(
-        topo,
-        tuple(
-            SbepStep(i + 1, tuple(PairExchange(a, b) for a, b in step))
-            for i, step in enumerate(steps)
-        ),
-    )
+    witness = Schedule.from_pairs(topo, steps)
     return OracleResult(n=n, constraint_model=kind, min_steps=count, witness=witness)
 
 

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
-from .schedule import PairExchange, SbepStep, Schedule
+from .schedule import Schedule
 from .topology import TopologyKind, build_topology
 
 
@@ -59,90 +59,59 @@ def merge_budget(n: int) -> int:
     return budget
 
 
-def _cycles(n: int, d: int) -> list[list[int]]:
-    """Vertex cycles of the +d step on hosts 1..n, traversal order."""
-    out = []
-    seen: set[int] = set()
-    for start in range(1, math.gcd(n, d) + 1):
-        if start in seen:
-            continue
-        cycle = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            cycle.append(v)
-            v = (v - 1 + d) % n + 1
-        out.append(cycle)
-    return out
+def _cycles(n: int, d: int) -> list[list[tuple[int, int]]]:
+    """Edges (v, v+d mod n) of each cycle of the +d step on hosts 1..n.
 
-
-def _cycle_edges(cycle: list[int], n: int, d: int) -> list[PairExchange]:
-    return [PairExchange(v, (v - 1 + d) % n + 1) for v in cycle]
+    Cycle s starts at host s, for s = 1..gcd(n, d), and lists its edges
+    in traversal order.
+    """
+    g = math.gcd(n, d)
+    cycles = []
+    for s in range(1, g + 1):
+        hosts = [(s - 1 + k * d) % n + 1 for k in range(n // g)]
+        cycles.append([(v, (v - 1 + d) % n + 1) for v in hosts])
+    return cycles
 
 
 def _choose_disjoint_residuals(
-    n: int, distances: list[int]
-) -> dict[tuple[int, int], PairExchange] | None:
-    """Pick one residual edge per cycle of each distance, all host-disjoint.
+    cycles: dict[int, list[list[tuple[int, int]]]], group: list[int]
+) -> dict[tuple[int, int], int] | None:
+    """Pick one residual edge per cycle of each distance in ``group``, all
+    host-disjoint.
 
     Backtracking over cycles; within a cycle the edge initiated by its
     largest host is tried first so the unmerged canonical choice is kept
-    whenever possible. Returns {(distance, cycle_index): edge} or None.
+    whenever possible. Returns {(distance, cycle_index): edge_index} or None.
     """
-    slots: list[tuple[int, int, list[PairExchange]]] = []
-    for d in distances:
-        for ci, cycle in enumerate(_cycles(n, d)):
-            edges = _cycle_edges(cycle, n, d)
-            anchor = cycle.index(max(cycle))
-            ordered = [edges[(anchor + k) % len(edges)] for k in range(len(edges))]
-            slots.append((d, ci, ordered))
+    slots = []
+    for d in group:
+        for ci, edges in enumerate(cycles[d]):
+            length = len(edges)
+            anchor = max(range(length), key=lambda k: edges[k][0])
+            order = [(anchor + k) % length for k in range(length)]
+            slots.append((length, d, ci, order))
     # most-constrained cycles first keeps the backtracking shallow
-    slots.sort(key=lambda s: (len(s[2]), s[0], s[1]))
+    slots.sort(key=lambda slot: slot[:3])
 
-    chosen: dict[tuple[int, int], PairExchange] = {}
+    chosen: dict[tuple[int, int], int] = {}
     used: set[int] = set()
 
     def backtrack(i: int) -> bool:
         if i == len(slots):
             return True
-        d, ci, ordered = slots[i]
-        for e in ordered:
-            if e.initiator in used or e.responder in used:
+        _, d, ci, order = slots[i]
+        for k in order:
+            a, b = cycles[d][ci][k]
+            if a in used or b in used:
                 continue
-            chosen[(d, ci)] = e
-            used.update((e.initiator, e.responder))
+            chosen[d, ci] = k
+            used.update((a, b))
             if backtrack(i + 1):
                 return True
-            used.difference_update((e.initiator, e.responder))
-            del chosen[(d, ci)]
+            used.difference_update((a, b))
         return False
 
     return chosen if backtrack(0) else None
-
-
-def _decompose_distance(
-    n: int, d: int, residuals: dict[int, PairExchange] | None
-) -> tuple[list[PairExchange], list[PairExchange], list[PairExchange]]:
-    """Split one distance class into matchings A, B and a residual edge set.
-
-    ``residuals`` maps cycle index to the edge held out of that cycle; None
-    means no residual (the class fits in two alternating matchings).
-    """
-    phase_a: list[PairExchange] = []
-    phase_b: list[PairExchange] = []
-    residual: list[PairExchange] = []
-    for ci, cycle in enumerate(_cycles(n, d)):
-        edges = _cycle_edges(cycle, n, d)
-        length = len(edges)
-        if residuals is None:
-            path = edges
-        else:
-            r = edges.index(residuals[ci])
-            residual.append(edges[r])
-            path = [edges[(r + 1 + k) % length] for k in range(length - 1)]
-        for k, e in enumerate(path):
-            (phase_a if k % 2 == 0 else phase_b).append(e)
-    return phase_a, phase_b, residual
 
 
 def generate_star(n: int) -> Schedule:
@@ -150,58 +119,51 @@ def generate_star(n: int) -> Schedule:
     residual steps merged across distances down to sbep_formula(n) steps.
     """
     topo = build_topology(TopologyKind.STAR, n)
-    if n == 2:
-        return Schedule(topo, (SbepStep(1, (PairExchange(1, 2),)),))
+    counts = {d: _raw_count(n, d) for d in range(1, n // 2 + 1)}
+    cycles = {d: _cycles(n, d) for d, c in counts.items() if c > 1}
 
-    budget = merge_budget(n)
-    residual_distances = [d for d, c in raw_distance_steps(n) if c == 3]
+    residual_distances = [d for d, c in counts.items() if c == 3]
+    unmerged = len(residual_distances) - 2 * merge_budget(n)
+    if unmerged < 0:
+        raise ProtocolConstructionError(f"not enough residual steps to merge at n={n}")
     # Merge partners are paired off from the largest distances downward.
-    merged_with: dict[int, int] = {}  # low distance -> high distance
-    merged_into: dict[int, int] = {}  # high distance -> low distance
-    i = len(residual_distances)
-    for _ in range(budget):
-        if i < 2:
-            raise ProtocolConstructionError(
-                f"not enough residual steps to merge at n={n}"
-            )
-        lo, hi = residual_distances[i - 2], residual_distances[i - 1]
-        merged_with[lo] = hi
-        merged_into[hi] = lo
-        i -= 2
-
-    # Residual edge per cycle, per distance.
-    residual_edges: dict[int, dict[int, PairExchange]] = {}
-    for d in residual_distances:
-        if d in merged_into:
-            continue  # chosen together with its low partner
-        group = [d, merged_with[d]] if d in merged_with else [d]
-        chosen = _choose_disjoint_residuals(n, group)
+    groups = [[d] for d in residual_distances[:unmerged]] + [
+        residual_distances[i : i + 2]
+        for i in range(unmerged, len(residual_distances), 2)
+    ]
+    residuals: dict[tuple[int, int], int] = {}
+    lead: dict[int, int] = {}  # distance -> the first distance of its group
+    for group in groups:
+        chosen = _choose_disjoint_residuals(cycles, group)
         if chosen is None:
             raise ProtocolConstructionError(
                 f"no host-disjoint residual assignment for distances {group} at n={n}"
             )
-        for (dd, ci), e in chosen.items():
-            residual_edges.setdefault(dd, {})[ci] = e
+        residuals.update(chosen)
+        lead.update((d, group[0]) for d in group)
 
-    steps: list[tuple[PairExchange, ...]] = []
+    steps: list[list[tuple[int, int]]] = []
     residual_slot: dict[int, int] = {}
-    for d in range(1, n // 2 + 1):
-        count = _raw_count(n, d)
+    for d, count in counts.items():
         if count == 1:
-            half = sorted(PairExchange(i, i + n // 2) for i in range(1, n // 2 + 1))
-            steps.append(tuple(half))
+            steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])
             continue
-        holdout = residual_edges.get(d) if count == 3 else None
-        phase_a, phase_b, residual = _decompose_distance(n, d, holdout)
-        steps.append(tuple(sorted(phase_a)))
-        steps.append(tuple(sorted(phase_b)))
+        phase_a, phase_b, residual = [], [], []
+        for ci, edges in enumerate(cycles[d]):
+            if count == 3:
+                r = residuals[d, ci]
+                residual.append(edges[r])
+                edges = edges[r + 1 :] + edges[:r]
+            phase_a += edges[0::2]
+            phase_b += edges[1::2]
+        steps += [sorted(phase_a), sorted(phase_b)]
         if count == 3:
-            if d in merged_into:
-                slot = residual_slot[merged_into[d]]
-                steps[slot] = tuple(sorted(steps[slot] + tuple(residual)))
-            else:
+            if lead[d] == d:
                 residual_slot[d] = len(steps)
-                steps.append(tuple(sorted(residual)))
+                steps.append(sorted(residual))
+            else:
+                slot = residual_slot[lead[d]]
+                steps[slot] = sorted(steps[slot] + residual)
 
     if len(steps) != sbep_formula(n):
         raise ProtocolConstructionError(
@@ -209,18 +171,13 @@ def generate_star(n: int) -> Schedule:
             f"expected {sbep_formula(n)}",
             achieved_steps=len(steps),
         )
-    return Schedule(
-        topo, tuple(SbepStep(i + 1, ex) for i, ex in enumerate(steps))
-    )
+    return Schedule.from_pairs(topo, steps)
 
 
 def generate_fcn_full(n: int) -> Schedule:
     """All pairs in a single step; capacity N-1 makes every pair concurrent."""
     topo = build_topology(TopologyKind.FCN_FULL, n)
-    exchanges = tuple(
-        PairExchange(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    )
-    return Schedule(topo, (SbepStep(1, exchanges),))
+    return Schedule.from_pairs(topo, [topo.pairs()])
 
 
 def generate_fcn_single(n: int) -> Schedule:
@@ -230,22 +187,19 @@ def generate_fcn_single(n: int) -> Schedule:
     one host sit out each round.
     """
     topo = build_topology(TopologyKind.FCN_SINGLE, n)
-    if n == 2:
-        return Schedule(topo, (SbepStep(1, (PairExchange(1, 2),)),))
     m = n if n % 2 == 0 else n + 1  # seat m is a phantom when n is odd
     ring = list(range(1, m))
     steps = []
-    for r in range(m - 1):
+    for _ in range(m - 1):
         pairs = []
         if m == n:
             pairs.append((min(ring[0], m), max(ring[0], m)))
         for k in range(1, m // 2):
             x, y = ring[k], ring[m - 1 - k]
             pairs.append((min(x, y), max(x, y)))
-        exchanges = tuple(PairExchange(a, b) for a, b in sorted(pairs))
-        steps.append(SbepStep(r + 1, exchanges))
+        steps.append(sorted(pairs))
         ring = ring[-1:] + ring[:-1]
-    return Schedule(topo, tuple(steps))
+    return Schedule.from_pairs(topo, steps)
 
 
 def _pack_chain_step(
@@ -300,9 +254,8 @@ def generate_lch(n: int) -> Schedule:
     while lows:
         packed = _pack_chain_step(lows, full)
         lows = [(span, los) for span, los in lows if los]
-        exchanges = tuple(PairExchange(a, b) for a, b in sorted(packed))
-        steps.append(SbepStep(len(steps) + 1, exchanges))
-    return Schedule(topo, tuple(steps))
+        steps.append(sorted(packed))
+    return Schedule.from_pairs(topo, steps)
 
 
 _GENERATORS = {

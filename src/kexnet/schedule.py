@@ -11,6 +11,7 @@ rule: an exchange between hosts i and j occupies the wire span
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,6 +50,20 @@ class SbepStep:
 class Schedule:
     topology: NetworkTopology
     steps: tuple[SbepStep, ...]
+
+    @classmethod
+    def from_pairs(
+        cls, topology: NetworkTopology, steps: Iterable[Iterable[tuple[int, int]]]
+    ) -> Schedule:
+        """The schedule whose steps, numbered from 1, hold the given
+        (initiator, responder) pairs in the order given."""
+        return cls(
+            topology,
+            tuple(
+                SbepStep(i, tuple(PairExchange(a, b) for a, b in pairs))
+                for i, pairs in enumerate(steps, 1)
+            ),
+        )
 
     def all_exchanges(self) -> list[PairExchange]:
         return [e for step in self.steps for e in step.exchanges]
@@ -129,13 +144,19 @@ def _step_interval_violations(step: SbepStep, t: NetworkTopology) -> list[Violat
 def validate_schedule(s: Schedule) -> ValidationReport:
     """Check completeness and per-step feasibility; never raises.
 
-    Violation kinds: ``missing-pair``, ``duplicate-pair``, ``capacity``,
-    ``lch-overlap``, ``unknown-host``. Duplicates are reported once per
-    occurrence beyond the first, with the offending step index.
+    Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
+    ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is
+    not its 1-based position gets one ``step-index`` violation. Duplicates
+    are reported once per occurrence beyond the first, with the offending
+    step index.
     """
     t = s.topology
     violations: list[Violation] = []
-    for step in s.steps:
+    for position, step in enumerate(s.steps, 1):
+        if step.index != position:
+            violations.append(
+                Violation(step.index, "step-index", f"expected index {position}")
+            )
         violations.extend(_step_capacity_violations(step, t))
         if t.kind is TopologyKind.LCH:
             violations.extend(_step_interval_violations(step, t))
@@ -154,10 +175,9 @@ def validate_schedule(s: Schedule) -> ValidationReport:
                 )
             else:
                 seen[p] = step.index
-    for a in t.hosts():
-        for b in range(a + 1, t.n_hosts + 1):
-            if (a, b) not in seen:
-                violations.append(Violation(None, "missing-pair", f"({a},{b})"))
+    for a, b in t.pairs():
+        if (a, b) not in seen:
+            violations.append(Violation(None, "missing-pair", f"({a},{b})"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -183,10 +203,7 @@ def host_states(step: SbepStep, n: int) -> dict[int, HostState]:
 
 def pair_coverage(s: Schedule) -> dict[tuple[int, int], int]:
     """How many times each (low, high) host pair appears in the schedule."""
-    n = s.topology.n_hosts
-    counts: dict[tuple[int, int], int] = {
-        (a, b): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    }
+    counts = dict.fromkeys(s.topology.pairs(), 0)
     for e in s.all_exchanges():
         counts[e.span] = counts.get(e.span, 0) + 1
     return counts

@@ -69,19 +69,15 @@ def schedule_to_json(s: Schedule) -> str:
 
 
 def json_to_schedule(text: str) -> Schedule:
+    """Parse the JSON format; steps are numbered by their position."""
     try:
         doc = json.loads(text)
         kind = TopologyKind(doc["topology"]["kind"])
         n_hosts = doc["topology"]["n_hosts"]
-        steps = tuple(
-            SbepStep(index=i + 1, exchanges=tuple(PairExchange(a, b) for a, b in step))
-            for i, step in enumerate(doc["steps"])
-        )
+        steps = doc["steps"]
+        ids = [n_hosts] + [h for step in steps for pair in step for h in pair]
+        if any(type(h) is not int for h in ids):
+            raise TypeError("n_hosts and host ids must be integers")
+        return Schedule.from_pairs(build_topology(kind, n_hosts), steps)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ScheduleFormatError(f"malformed JSON schedule: {exc}") from exc
-    ids = [n_hosts]
-    for step in steps:
-        ids.extend(h for e in step.exchanges for h in (e.initiator, e.responder))
-    if any(type(h) is not int for h in ids):
-        raise ScheduleFormatError("n_hosts and host ids must be integers")
-    return Schedule(topology=build_topology(kind, n_hosts), steps=steps)

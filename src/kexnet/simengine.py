@@ -56,10 +56,7 @@ def run(config: SimConfig) -> SimReport:
     """
     topo = config.topology
     schedule = generate_schedule(topo.kind, topo.n_hosts)
-    n = topo.n_hosts
-    bits: dict[tuple[int, int], int] = {
-        (a, b): 0 for a in range(1, n + 1) for b in range(a + 1, n + 1)
-    }
+    bits = dict.fromkeys(topo.pairs(), 0)
     active_steps = {h: 0 for h in topo.hosts()}
 
     pending = list(config.failures)

@@ -11,8 +11,10 @@ key exchangers each host carries and whether a center switch is present:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .errors import InvalidSizeError
 
@@ -77,6 +79,10 @@ class NetworkTopology:
     def hosts(self) -> range:
         """1-based host indices."""
         return range(1, self.n_hosts + 1)
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """Every unordered host pair as (low, high), in ascending order."""
+        return combinations(self.hosts(), 2)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ def test_validate_text_input(tmp_path, capsys):
     assert "duplicate-pair" in out
 
 
+def test_validate_step_index(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("step 1: (1,2)\nstep 1: (1,3)\nstep 7: (2,3)\n")
+    code, out, _ = run_cli(
+        capsys, "validate", "--in", str(path), "--topology", "fcn1", "--n", "3"
+    )
+    assert code == 3
+    assert out == (
+        "invalid\n"
+        "step 1: step-index: expected index 2\n"
+        "step 7: step-index: expected index 3\n"
+    )
+
+
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
 
 
@@ -262,6 +276,13 @@ def test_atomic_out(tmp_path, capsys):
     )
     assert target.read_text().startswith("n,sbep\n")
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_error_names_requested_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "formula", "--n", "5", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == f"kexnet: [Errno 2] No such file or directory: '{target}'\n"
 
 
 @pytest.mark.parametrize(

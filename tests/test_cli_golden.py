@@ -34,6 +34,11 @@ CASES = {
     "simulate_fcn1_5_cable": [
         "simulate", "--topology", "fcn1", "--n", "5", "--k", "2", "--fail", "cable:5-1@2",
     ],
+    # More than 9 hosts, so numeric and string order of lost_pairs differ.
+    "simulate_star12_lost": [
+        "simulate", "--topology", "star", "--n", "12", "--k", "3",
+        "--fail", "center@30", "--fail", "cable:3@5",
+    ],
 }
 
 # A 4-host chain schedule with one violation of every kind: an interior

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
+from kexnet import protocols
 from kexnet.cli import main
 from kexnet.errors import InvalidSizeError, ProtocolConstructionError
 from kexnet.oracle import chromatic_index_lower_bound, min_steps_bruteforce
@@ -309,6 +310,20 @@ def _reference_star(n: int) -> Schedule:
 @pytest.mark.parametrize("n", range(2, 81))
 def test_star_matches_reference(n):
     assert generate_star(n) == _reference_star(n)
+
+
+@pytest.mark.parametrize("n", [5, 16, 40])
+def test_star_builds_cycles_once_per_distance(n, monkeypatch):
+    calls = []
+    cycles = protocols._cycles
+
+    def counting(n, d):
+        calls.append(d)
+        return cycles(n, d)
+
+    monkeypatch.setattr(protocols, "_cycles", counting)
+    generate_star(n)
+    assert sorted(calls) == sorted(set(calls))
 
 
 @pytest.mark.parametrize(
