@@ -13,6 +13,7 @@ from kexnet.analysis import (
     fit_linear,
 )
 from kexnet.errors import DegenerateFitError, InvalidScenarioError
+from kexnet.simengine import SimConfig
 from kexnet.topology import TopologyKind, build_topology
 
 FIG_SLOPE = 1.3192982456
@@ -112,6 +113,82 @@ def test_invalid_scenarios():
         apply_failure(lch, CableFailure(4))  # only 3 segments
     with pytest.raises(InvalidScenarioError):
         apply_failure(star, KeyExchangerFailure(2, 2))  # one exchanger per host
+
+
+def expected_scenario_error(t, f):
+    """The message InvalidScenarioError carries for ``f`` in ``t``, or None
+    when ``t`` has the component."""
+    n, kind = t.n_hosts, t.kind
+    fully_connected = kind in (TopologyKind.FCN_FULL, TopologyKind.FCN_SINGLE)
+    if isinstance(f, CenterSwitchFailure):
+        if kind is not TopologyKind.STAR:
+            return "only the star network has a center switch"
+    elif isinstance(f, KeyExchangerFailure):
+        if not 1 <= f.host <= n:
+            return f"no host {f.host} in a {n}-host network"
+        if f.slot is not None and not 1 <= f.slot <= t.exchangers_per_host:
+            return (
+                f"host {f.host} has {t.exchangers_per_host} exchanger(s), "
+                f"no slot {f.slot}"
+            )
+        if kind is TopologyKind.FCN_FULL and f.slot is None:
+            return "FCN_FULL exchanger failure needs a slot"
+    elif fully_connected:
+        ident = f.ident
+        if not (isinstance(ident, tuple) and ident[0] != ident[1]
+                and all(1 <= h <= n for h in ident)):
+            return f"fully connected cable is a host pair, got {ident!r}"
+    elif kind is TopologyKind.LCH:
+        if not (isinstance(f.ident, int) and 1 <= f.ident <= n - 1):
+            return f"no chain segment {f.ident!r}"
+    elif not (isinstance(f.ident, int) and 1 <= f.ident <= n):
+        return f"no star spoke {f.ident!r}"
+    return None
+
+
+def scenario_grid(t):
+    n = t.n_hosts
+    yield CenterSwitchFailure()
+    for ident in range(-1, n + 2):
+        yield CableFailure(ident)
+    for a in range(0, n + 2):
+        for b in range(0, n + 2):
+            yield CableFailure((a, b))
+    for h in range(0, n + 2):
+        for s in (None, *range(0, t.exchangers_per_host + 2)):
+            yield KeyExchangerFailure(h, s)
+
+
+# Components of a 5-host network: the fully connected ones have 20 ordered
+# cable pairs, fcn-full 5 x 4 exchanger slots and fcn1 5 x (None, 1); the
+# chain has 4 segments and 5 x (None, 1, 2) slots; the star has the center,
+# 5 spokes and 5 x (None, 1) slots.
+ACCEPTED_AT_5 = {
+    TopologyKind.FCN_FULL: 40,
+    TopologyKind.FCN_SINGLE: 30,
+    TopologyKind.LCH: 19,
+    TopologyKind.STAR: 16,
+}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_scenario_grid(kind):
+    t = build_topology(kind, 5)
+    accepted = 0
+    for f in scenario_grid(t):
+        expected = expected_scenario_error(t, f)
+        for check in (
+            lambda: apply_failure(t, f),
+            lambda: SimConfig(topology=t, failures=((1, f),)),
+        ):
+            if expected is None:
+                check()
+                continue
+            with pytest.raises(InvalidScenarioError) as info:
+                check()
+            assert str(info.value) == expected, f
+        accepted += expected is None
+    assert accepted == ACCEPTED_AT_5[kind]
 
 
 def single_failures(t):

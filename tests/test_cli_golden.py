@@ -39,6 +39,18 @@ CASES = {
         "simulate", "--topology", "star", "--n", "12", "--k", "3",
         "--fail", "center@30", "--fail", "cable:3@5",
     ],
+    # A failure at step 1, both slots of one host lost at the same time,
+    # and a failure past the horizon (3 passes of 12 steps).
+    "simulate_lch7_edges": [
+        "simulate", "--topology", "lch", "--n", "7", "--k", "3",
+        "--fail", "cable:2@1", "--fail", "ke:4:1@9", "--fail", "ke:4:2@9",
+        "--fail", "cable:5@999",
+    ],
+    # Failures on the last step of the first and of the second pass.
+    "simulate_star9_pass_end": [
+        "simulate", "--topology", "star", "--n", "9", "--k", "2",
+        "--fail", "ke:3@12", "--fail", "cable:7@24",
+    ],
 }
 
 # A 4-host chain schedule with one violation of every kind: an interior
