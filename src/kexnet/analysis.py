@@ -9,6 +9,8 @@ Timing of failures mid-run is handled by the simulation engine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import DegenerateFitError, InvalidScenarioError
@@ -107,12 +109,16 @@ class ConnectivityReport:
     degraded_hosts: frozenset[int] = field(default=frozenset())
 
 
-def _check_scenario(t: NetworkTopology, f: FailureScenario) -> None:
-    n = t.n_hosts
+def _destroyed(t: NetworkTopology, f: FailureScenario) -> tuple[str, object]:
+    """The one part of ``t`` that ``f`` destroys: ("center", None),
+    ("host", h), ("pair", (lo, hi)), ("segment", k) or ("slot", (h, s)).
+    Raises InvalidScenarioError for a component ``t`` does not have."""
+    n, kind = t.n_hosts, t.kind
     if isinstance(f, CenterSwitchFailure):
-        if t.kind is not TopologyKind.STAR:
+        if kind is not TopologyKind.STAR:
             raise InvalidScenarioError("only the star network has a center switch")
-    elif isinstance(f, KeyExchangerFailure):
+        return "center", None
+    if isinstance(f, KeyExchangerFailure):
         if not 1 <= f.host <= n:
             raise InvalidScenarioError(f"no host {f.host} in a {n}-host network")
         if f.slot is not None and not 1 <= f.slot <= t.exchangers_per_host:
@@ -120,77 +126,60 @@ def _check_scenario(t: NetworkTopology, f: FailureScenario) -> None:
                 f"host {f.host} has {t.exchangers_per_host} exchanger(s), "
                 f"no slot {f.slot}"
             )
-        if t.kind is TopologyKind.FCN_FULL and f.slot is None:
+        if kind is TopologyKind.LCH:
+            return "slot", (f.host, f.slot or 1)
+        if kind is not TopologyKind.FCN_FULL:
+            return "host", f.host
+        if f.slot is None:
             raise InvalidScenarioError("FCN_FULL exchanger failure needs a slot")
-    elif isinstance(f, CableFailure):
-        if t.kind in (TopologyKind.FCN_FULL, TopologyKind.FCN_SINGLE):
-            if not (
-                isinstance(f.ident, tuple)
-                and len(f.ident) == 2
-                and 1 <= f.ident[0] <= n
-                and 1 <= f.ident[1] <= n
-                and f.ident[0] != f.ident[1]
-            ):
-                raise InvalidScenarioError(
-                    f"fully connected cable is a host pair, got {f.ident!r}"
-                )
-        elif t.kind is TopologyKind.LCH:
-            if not (isinstance(f.ident, int) and 1 <= f.ident <= n - 1):
-                raise InvalidScenarioError(f"no chain segment {f.ident!r}")
-        else:
-            if not (isinstance(f.ident, int) and 1 <= f.ident <= n):
-                raise InvalidScenarioError(f"no star spoke {f.ident!r}")
-    else:
+        # Slots map to the host's peers in ascending order.
+        return "pair", tuple(sorted((f.host, f.slot + (f.slot >= f.host))))
+    if not isinstance(f, CableFailure):
         raise InvalidScenarioError(f"unknown scenario {f!r}")
+    ident = f.ident
+    if kind is TopologyKind.STAR:
+        if not (isinstance(ident, int) and 1 <= ident <= n):
+            raise InvalidScenarioError(f"no star spoke {ident!r}")
+        return "host", ident
+    if kind is TopologyKind.LCH:
+        if not (isinstance(ident, int) and 1 <= ident <= n - 1):
+            raise InvalidScenarioError(f"no chain segment {ident!r}")
+        return "segment", ident
+    if not (
+        isinstance(ident, tuple)
+        and len(ident) == 2
+        and ident[0] != ident[1]
+        and all(1 <= h <= n for h in ident)
+    ):
+        raise InvalidScenarioError(
+            f"fully connected cable is a host pair, got {ident!r}"
+        )
+    return "pair", tuple(sorted(ident))
 
 
 def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
-    """((low, high) pairs that can still exchange, hosts with degraded capacity)."""
+    """((low, high) pairs that can still exchange, hosts with degraded capacity).
+
+    A host is dead when it, or the center, or both of its chain slots are
+    destroyed; a host that lost one chain slot is degraded.
+    """
+    lost: defaultdict[str, set] = defaultdict(set)
     for f in failures:
-        _check_scenario(t, f)
-
-    if t.kind is TopologyKind.STAR:
-        if any(isinstance(f, CenterSwitchFailure) for f in failures):
-            return frozenset(), frozenset()
-        dead = {f.ident for f in failures if isinstance(f, CableFailure)}
-        dead |= {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
-        ok = {(a, b) for a, b in t.pairs() if not (a in dead or b in dead)}
-        return frozenset(ok), frozenset()
-
-    if t.kind is TopologyKind.LCH:
-        cut = {f.ident for f in failures if isinstance(f, CableFailure)}
-        slot_hits: dict[int, set[int]] = {}
-        for f in failures:
-            if isinstance(f, KeyExchangerFailure):
-                slot_hits.setdefault(f.host, set()).add(f.slot or 1)
-        dead = {h for h, slots in slot_hits.items() if len(slots) >= 2}
-        degraded = {h for h in slot_hits if h not in dead}
-        ok = set()
-        for lo, hi in t.pairs():
-            if lo in dead or hi in dead:
-                continue
-            if any(lo <= seg < hi for seg in cut):
-                continue
-            ok.add((lo, hi))
-        return frozenset(ok), frozenset(degraded)
-
-    # fully connected variants
-    dead_cables = {
-        tuple(sorted(f.ident)) for f in failures if isinstance(f, CableFailure)
-    }
-    ok = {p for p in t.pairs() if p not in dead_cables}
-    if t.kind is TopologyKind.FCN_SINGLE:
-        dead = {f.host for f in failures if isinstance(f, KeyExchangerFailure)}
-        ok = {(a, b) for a, b in ok if not (a in dead or b in dead)}
-    else:
-        for f in failures:
-            if isinstance(f, KeyExchangerFailure):
-                # Slots map to the host's peers in ascending order.
-                peer = f.slot + (f.slot >= f.host)
-                ok.discard(tuple(sorted((f.host, peer))))
-    return frozenset(ok), frozenset()
+        part, which = _destroyed(t, f)
+        lost[part].add(which)
+    slot_hosts = [h for h, _ in lost["slot"]]
+    dead = lost["host"] | {h for h in slot_hosts if slot_hosts.count(h) == 2}
+    if lost["center"]:
+        dead = set(t.hosts())
+    # side[h] counts the cut segments left of host h, and a dead host has a
+    # side of its own, so a pair keeps its hosts and crosses no cut exactly
+    # when both ends share a side.
+    cuts = sorted(lost["segment"])
+    side = [-h if h in dead else bisect_left(cuts, h) for h in range(t.n_hosts + 1)]
+    ok = frozenset(p for p in t.pairs() if side[p[0]] == side[p[1]]) - lost["pair"]
+    return ok, frozenset(set(slot_hosts) - dead)
 
 
 def apply_failures(

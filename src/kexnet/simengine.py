@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import FailureScenario, _check_scenario, capable_pairs
+from .analysis import FailureScenario, _destroyed, capable_pairs
 from .protocols import generate_schedule
 from .topology import NetworkTopology
 
@@ -29,7 +29,7 @@ class SimConfig:
         if list(self.failures) != sorted(self.failures, key=lambda f: f[0]):
             raise ValueError("failures must be sorted by step_time")
         for _, scenario in self.failures:
-            _check_scenario(self.topology, scenario)
+            _destroyed(self.topology, scenario)
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,34 @@ def run(config: SimConfig) -> SimReport:
     """
     topo = config.topology
     schedule = generate_schedule(topo.kind, topo.n_hosts)
+    period = len(schedule.steps)
+    horizon = config.key_bits * period
     bits = dict.fromkeys(topo.pairs(), 0)
-    active_steps = {h: 0 for h in topo.hosts()}
+    active_steps = dict.fromkeys(topo.hosts(), 0)
 
-    pending = list(config.failures)
-    active: list[FailureScenario] = []
-    ok, _ = capable_pairs(topo, active)
-
-    t = 0
-    for _ in range(config.key_bits):
-        for step in schedule.steps:
-            t += 1
-            changed = False
-            while pending and pending[0][0] <= t:
-                active.append(pending.pop(0)[1])
-                changed = True
-            if changed:
-                ok, _ = capable_pairs(topo, active)
+    # The capable pairs change only when a failure takes effect, so the
+    # run splits into failure-free intervals [start, stop) of step times.
+    bounds = sorted({1, horizon + 1} | {t for t, _ in config.failures if t <= horizon})
+    for start, stop in zip(bounds, bounds[1:]):
+        ok, _ = capable_pairs(topo, [f for t, f in config.failures if t <= start])
+        for s, step in enumerate(schedule.steps, 1):
+            # Step s runs at the times t in [start, stop) with t = s mod period.
+            times = len(range(start + (s - start) % period, stop, period))
+            if not times:
+                continue
             active_hosts: set[int] = set()
             for e in step.exchanges:
                 p = e.span
                 if p in ok:
-                    bits[p] += 1
-                    active_hosts.update((e.initiator, e.responder))
+                    bits[p] += times
+                    active_hosts.update(p)
             for h in active_hosts:
-                active_steps[h] += 1
+                active_steps[h] += times
 
-    utilization = {h: active_steps[h] / t for h in topo.hosts()}
+    utilization = {h: active_steps[h] / horizon for h in topo.hosts()}
     lost = frozenset(p for p, b in bits.items() if b < config.key_bits)
     return SimReport(
-        steps_executed=t,
+        steps_executed=horizon,
         bits_per_pair=bits,
         host_utilization=utilization,
         lost_pairs=lost,

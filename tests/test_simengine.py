@@ -1,10 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kexnet.analysis import CableFailure, CenterSwitchFailure
+from kexnet.analysis import (
+    CableFailure,
+    CenterSwitchFailure,
+    FailureScenario,
+    KeyExchangerFailure,
+    capable_pairs,
+)
 from kexnet.errors import InvalidScenarioError
-from kexnet.simengine import SimConfig, run, utilization_profile
+from kexnet.protocols import generate_schedule
+from kexnet.simengine import SimConfig, SimReport, run, utilization_profile
 from kexnet.topology import TopologyKind, build_topology
 
 
@@ -107,3 +116,109 @@ def test_config_validation():
     # scenarios are checked when the config is built, not when they activate
     with pytest.raises(InvalidScenarioError):
         SimConfig(topology=star(3), failures=((1000, CableFailure(99)),))
+
+
+# --- the step-wise loop as the reference for run -----------------------------
+
+
+def _reference_run(config: SimConfig) -> SimReport:
+    """The simulator as a step clock: every exchange of every pass, with the
+    capable pairs recomputed whenever a failure takes effect."""
+    topo = config.topology
+    schedule = generate_schedule(topo.kind, topo.n_hosts)
+    bits = dict.fromkeys(topo.pairs(), 0)
+    active_steps = {h: 0 for h in topo.hosts()}
+
+    pending = list(config.failures)
+    active: list[FailureScenario] = []
+    ok, _ = capable_pairs(topo, active)
+
+    t = 0
+    for _ in range(config.key_bits):
+        for step in schedule.steps:
+            t += 1
+            changed = False
+            while pending and pending[0][0] <= t:
+                active.append(pending.pop(0)[1])
+                changed = True
+            if changed:
+                ok, _ = capable_pairs(topo, active)
+            active_hosts: set[int] = set()
+            for e in step.exchanges:
+                p = e.span
+                if p in ok:
+                    bits[p] += 1
+                    active_hosts.update((e.initiator, e.responder))
+            for h in active_hosts:
+                active_steps[h] += 1
+
+    utilization = {h: active_steps[h] / t for h in topo.hosts()}
+    lost = frozenset(p for p, b in bits.items() if b < config.key_bits)
+    return SimReport(
+        steps_executed=t,
+        bits_per_pair=bits,
+        host_utilization=utilization,
+        lost_pairs=lost,
+    )
+
+
+def valid_failures(t):
+    """Every failure scenario the topology has a component for."""
+    slots = range(1, t.exchangers_per_host + 1)
+    yield from (KeyExchangerFailure(h, s) for h in t.hosts() for s in slots)
+    if t.kind is not TopologyKind.FCN_FULL:
+        yield from (KeyExchangerFailure(h) for h in t.hosts())
+    if t.kind is TopologyKind.STAR:
+        yield CenterSwitchFailure()
+        yield from map(CableFailure, t.hosts())
+    elif t.kind is TopologyKind.LCH:
+        yield from map(CableFailure, range(1, t.n_hosts))
+    else:
+        yield from map(CableFailure, itertools.permutations(t.hosts(), 2))
+
+
+@st.composite
+def sim_configs(draw):
+    t = build_topology(draw(st.sampled_from(list(TopologyKind))), draw(st.integers(2, 12)))
+    k = draw(st.integers(1, 6))
+    horizon = k * len(generate_schedule(t.kind, t.n_hosts).steps)
+    # A few distinct times, so several failures often share one; some
+    # fall past the horizon.
+    times = draw(st.lists(st.integers(1, horizon + 3), min_size=1, max_size=3))
+    failures = draw(
+        st.lists(
+            st.tuples(st.sampled_from(times), st.sampled_from(list(valid_failures(t)))),
+            max_size=4,
+        )
+    )
+    return SimConfig(
+        topology=t, key_bits=k, failures=tuple(sorted(failures, key=lambda f: f[0]))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(sim_configs())
+def test_run_matches_step_loop(config):
+    report, expected = run(config), _reference_run(config)
+    assert report == expected
+    assert list(report.bits_per_pair) == list(expected.bits_per_pair)
+    assert list(report.host_utilization) == list(expected.host_utilization)
+
+
+def test_large_k_exact():
+    # 10^8 whole passes of the 6-step schedule, then steps 1-3 once more
+    # before the center fails at the start of step 4.
+    config = SimConfig(
+        topology=star(5),
+        key_bits=10**9,
+        failures=((6 * 10**8 + 4, CenterSwitchFailure()),),
+    )
+    report = run(config)
+    steps = generate_schedule(TopologyKind.STAR, 5).steps
+    first = {e.span for step in steps[:3] for e in step.exchanges}
+    assert len(first) == 5
+    assert report.steps_executed == 6 * 10**9
+    assert report.bits_per_pair == {
+        p: 10**8 + 1 if p in first else 10**8 for p in all_pairs(5)
+    }
+    assert report.lost_pairs == frozenset(all_pairs(5))
