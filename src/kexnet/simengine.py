@@ -8,6 +8,7 @@ nothing is rescheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .analysis import FailureScenario, _destroyed, capable_pairs
@@ -91,10 +92,11 @@ def run(config: SimConfig) -> SimReport:
 
 
 def utilization_profile(report: SimReport) -> UtilizationSummary:
-    """Min/mean/max host utilization of a run."""
+    """Min/mean/max host utilization of a run; the mean is a compensated
+    sum (math.fsum), so it does not depend on the Python version."""
     values = list(report.host_utilization.values())
     return UtilizationSummary(
         minimum=min(values),
-        mean=sum(values) / len(values),
+        mean=math.fsum(values) / len(values),
         maximum=max(values),
     )
