@@ -28,8 +28,9 @@ class UsageError(Exception):
     pass
 
 
-def _default_format() -> str:
-    return os.environ.get("KEXNET_FORMAT", "table")
+# Output formats of formula, compare and simulate. KEXNET_FORMAT gives the
+# default; main checks it, as argparse checks no default against choices.
+_FORMATS = ["table", "csv", "json"]
 
 
 def _parse_range(text: str) -> range:
@@ -238,8 +239,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, formats: list[str]) -> None:
-    p.add_argument("--format", choices=formats, default=_default_format())
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--out", default=None, help="write to file (atomic) instead of stdout")
 
 
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("formula", help="SBEP step counts for the star protocol")
     p.add_argument("--n", type=int)
     p.add_argument("--range", help="inclusive range a..b")
-    _add_common(p, ["table", "csv", "json"])
+    _add_common(p)
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("schedule", help="generate a schedule")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare all four topologies at one size")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, ["table", "csv", "json"])
+    _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("oracle", help="exact minimum step count by exhaustive search")
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="failure spec: center@T, cable:I@T, cable:I-J@T, ke:H[:S]@T",
     )
-    _add_common(p, ["table", "csv", "json"])
+    _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("regress", help="fit SBEP(N) vs N over the step-count table")
@@ -308,6 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "format", "") is None:  # formula, compare, simulate
+            args.format = os.environ.get("KEXNET_FORMAT", "table")
+            if args.format not in _FORMATS:
+                raise UsageError(
+                    f"KEXNET_FORMAT={args.format!r} is not one of {', '.join(_FORMATS)}"
+                )
         return args.func(args)
     except UsageError as exc:
         print(f"kexnet: {exc}", file=sys.stderr)

@@ -311,3 +311,40 @@ def test_commands_deterministic(argv, capsys):
 def test_json_outputs_well_formed(argv, capsys):
     _, out, _ = run_cli(capsys, *argv)
     json.loads(out)
+
+
+ENV_FORMAT_COMMANDS = [
+    ["formula", "--range", "2..4"],
+    ["compare", "--n", "4"],
+    ["simulate", "--topology", "star", "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", ENV_FORMAT_COMMANDS)
+def test_env_format(argv, monkeypatch, capsys):
+    monkeypatch.setenv("KEXNET_FORMAT", "csv")
+    _, out, _ = run_cli(capsys, *argv)
+    assert out == run_cli(capsys, *argv, "--format", "csv")[1]
+    monkeypatch.setenv("KEXNET_FORMAT", "xml")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "kexnet: KEXNET_FORMAT='xml' is not one of table, csv, json\n"
+    # An explicit --format wins over the variable.
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--topology", "star", "--n", "4"],
+        ["oracle", "--topology", "star", "--n", "4"],
+        ["regress", "--n-max", "6"],
+    ],
+)
+def test_env_format_ignored(argv, monkeypatch, capsys):
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("KEXNET_FORMAT", "xml")
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
