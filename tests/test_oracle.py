@@ -1,13 +1,110 @@
+import math
+import pathlib
+
 import pytest
 
+from kexnet.cli import main
 from kexnet.errors import InvalidSizeError, SearchTooLargeError
 from kexnet.oracle import (
+    OracleResult,
+    chain_cut_lower_bound,
     chromatic_index_lower_bound,
     min_steps_bruteforce,
     overhead_table,
 )
-from kexnet.schedule import validate_schedule
-from kexnet.topology import TopologyKind
+from kexnet.schedule import Schedule, validate_schedule
+from kexnet.topology import TopologyKind, build_topology
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _compatible_matching(step, cand):
+    a, b = cand
+    return all(a != x and a != y and b != x and b != y for x, y in step)
+
+
+def _compatible_interval(step, cand):
+    lo, hi = cand
+    return all(hi <= x or lo >= y for x, y in step)
+
+
+def _chain_steps_needed(n, remaining):
+    load = [0] * n
+    for lo, hi in remaining:
+        for seg in range(lo, hi):
+            load[seg] += 1
+    return max(load)
+
+
+def _search_min_cover(pairs, compatible, start, steps_needed):
+    def extend(step, cand, remaining, steps_left, acc):
+        if not cand:
+            rest = [p for p in remaining if p not in step]
+            return cover(rest, steps_left - 1, acc + [sorted(step)])
+        head, tail = cand[0], cand[1:]
+        if compatible(step, head):
+            step.append(head)
+            found = extend(step, tail, remaining, steps_left, acc)
+            step.pop()
+            if found is not None:
+                return found
+        return extend(step, tail, remaining, steps_left, acc)
+
+    def cover(remaining, steps_left, acc):
+        if not remaining:
+            return acc
+        if steps_needed(remaining) > steps_left:
+            return None
+        first, rest = remaining[0], remaining[1:]
+        return extend([first], tuple(rest), remaining, steps_left, acc)
+
+    depth = start
+    while True:
+        found = cover(list(pairs), depth, [])
+        if found is not None:
+            return depth, found
+        depth += 1
+
+
+def _reference_min_cover(kind, n):
+    """The recursive search with one compatibility test per model, kept as
+    the reference: matchings for star and fcn1, interior-disjoint intervals
+    for the chain, and one step for fcn-full."""
+    topo = build_topology(kind, n)
+    pairs = list(topo.pairs())
+    if kind is TopologyKind.FCN_FULL:
+        count, steps = 1, [pairs]
+    elif kind is TopologyKind.LCH:
+        count, steps = _search_min_cover(
+            pairs,
+            _compatible_interval,
+            start=chain_cut_lower_bound(n),
+            steps_needed=lambda rest: _chain_steps_needed(n, rest),
+        )
+    else:
+        count, steps = _search_min_cover(
+            pairs,
+            _compatible_matching,
+            start=chromatic_index_lower_bound(n),
+            steps_needed=lambda rest: math.ceil(len(rest) / (n // 2)),
+        )
+    witness = Schedule.from_pairs(topo, steps)
+    return OracleResult(n=n, constraint_model=kind, min_steps=count, witness=witness)
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_matches_reference_search(kind, n):
+    assert min_steps_bruteforce(kind, n) == _reference_min_cover(kind, n)
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_cli_matches_golden(kind, capsys):
+    out = []
+    for n in range(2, 9):
+        assert main(["oracle", "--topology", kind.value, "--n", str(n)]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / f"oracle_{kind.value}_2_8.txt").read_text()
 
 
 def test_star_4():
