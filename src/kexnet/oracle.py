@@ -1,16 +1,19 @@
 """Exact minimum step counts by exhaustive search, plus counting bounds.
 
-The search is iterative deepening on the step count, starting from a
-counting lower bound: the matching bound for capacity-1 hosts, the cut
-bound floor(n^2/4) for the chain.
-Within a step, candidate exchanges are branched in canonical pair order
-and the globally smallest uncovered pair is forced into the current step,
-which breaks step-permutation symmetry.
+Every model is one rule: each exchange holds parts for its whole step (its
+two hosts under capacity 1, the segments it crosses on the chain, its own
+cable in fcn-full) and the exchanges of a step hold disjoint parts. The
+search deepens on the step count from max(load of the busiest part,
+ceil(pairs / per_step)), per_step being the parts over the fewest parts an
+exchange holds: n-1 or n for a matching, floor(n^2/4) for the chain, 1 for
+fcn-full. Steps are branched include-before-exclude in pair order, the
+smallest uncovered pair opening each, on an explicit stack without
+recursion. Ceilings of n=20 (n=108 for the chain) keep a call near 1 s.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidSizeError, SearchTooLargeError
@@ -18,8 +21,8 @@ from .protocols import sbep_formula
 from .schedule import Schedule
 from .topology import TopologyKind, build_topology
 
-EXHAUSTIVE_CEILING = 8
-LCH_CEILING = 8
+EXHAUSTIVE_CEILING = 20
+LCH_CEILING = 108
 
 
 @dataclass(frozen=True)
@@ -50,71 +53,87 @@ def chain_cut_lower_bound(n: int) -> int:
     return n * n // 4
 
 
-def _compatible_matching(step: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-    a, b = cand
-    return all(a != x and a != y and b != x and b != y for x, y in step)
+def _occupies(kind: TopologyKind, lo: int, hi: int):
+    """The parts an exchange between hosts lo < hi holds for its step: the
+    chain segments it crosses, its own fcn-full cable, or its two hosts."""
+    if kind is TopologyKind.LCH:
+        return range(lo, hi)
+    if kind is TopologyKind.FCN_FULL:
+        return [(lo, hi)]
+    return [lo, hi]
 
 
-def _compatible_interval(step: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-    lo, hi = cand
-    return all(hi <= x or lo >= y for x, y in step)
-
-
-def _chain_steps_needed(n: int, remaining: list[tuple[int, int]]) -> int:
-    """Most remaining pairs crossing one chain segment: each step carries at
-    most one exchange over a segment, so no fewer steps can cover them."""
-    load = [0] * n
-    for lo, hi in remaining:
-        for seg in range(lo, hi):
-            load[seg] += 1
-    return max(load)
-
-
-def _search_min_cover(pairs, compatible, start, steps_needed):
-    """Smallest number of steps covering ``pairs``; returns (count, steps).
-
-    The search deepens from ``start``, a proven lower bound on the count.
-    ``steps_needed(remaining)`` is a lower bound on the steps any cover of
-    ``remaining`` takes; a node whose bound exceeds its steps left is cut.
-    Both bounds are sound, so the first witness found is the one a search
-    from depth 1 without cuts would find.
-    """
-
-    def extend(step, cand, remaining, steps_left, acc):
-        if not cand:
-            rest = [p for p in remaining if p not in step]
-            return cover(rest, steps_left - 1, acc + [sorted(step)])
-        head, tail = cand[0], cand[1:]
-        if compatible(step, head):
-            step.append(head)
-            found = extend(step, tail, remaining, steps_left, acc)
-            step.pop()
-            if found is not None:
-                return found
-        return extend(step, tail, remaining, steps_left, acc)
-
-    def cover(remaining, steps_left, acc):
-        if not remaining:
-            return acc
-        if steps_needed(remaining) > steps_left:
-            return None
-        # WLOG the smallest remaining pair opens the current step.
-        first, rest = remaining[0], remaining[1:]
-        return extend([first], tuple(rest), remaining, steps_left, acc)
-
-    depth = start
+def _steps(left: list[int], masks: list[int]):
+    """Each step that ``left[0]`` opens, with the parts it holds, branching
+    the rest of ``left`` include-before-exclude: take every later exchange
+    whose parts are free, then drop the last one taken and fill after it."""
+    chosen, held, pos = [0], masks[left[0]], 1
     while True:
-        found = cover(list(pairs), depth, [])
-        if found is not None:
-            return depth, found
+        for k in range(pos, len(left)):
+            if not held & masks[left[k]]:
+                chosen.append(k)
+                held |= masks[left[k]]
+        yield [left[k] for k in chosen], held
+        if len(chosen) == 1:
+            return
+        k = chosen.pop()
+        held ^= masks[left[k]]
+        pos = k + 1
+
+
+def _cover(masks, load, per_step, depth):
+    """First cover of every exchange in at most ``depth`` steps, or None.
+
+    Each frame is an open step: the exchanges left before it, its step
+    generator, and how many of them hold each part. A node is cut when the
+    exchanges left need more steps than remain, as no part serves two
+    exchanges of a step and no step holds over ``per_step`` exchanges.
+    """
+    left = list(range(len(masks)))
+    frames, taken = [(left, _steps(left, masks), load)], []
+    while frames:
+        left, steps, load = frames[-1]
+        del taken[len(frames) - 1 :]
+        step = next(steps, None)
+        if step is None:
+            frames.pop()
+            continue
+        chosen, held = step
+        taken.append(chosen)
+        in_step = set(chosen)
+        rest = [i for i in left if i not in in_step]
+        if not rest:
+            return taken
+        load = [count - (held >> p & 1) for p, count in enumerate(load)]
+        if max(max(load), -(-len(rest) // per_step)) <= depth - len(taken):
+            frames.append((rest, _steps(rest, masks), load))
+    return None
+
+
+def _min_cover(held) -> tuple[int, list[list[int]]]:
+    """Fewest steps covering every exchange, where exchange i holds the parts
+    ``held[i]`` and the exchanges of a step hold disjoint parts, with each
+    step as exchange indices. The search deepens from ``_cover``'s bound on
+    all exchanges; both bounds are sound, so the first witness is the one a
+    search from depth 1 without cuts would find."""
+    load = Counter(p for parts in held for p in parts)
+    bit = {p: b for b, p in enumerate(load)}
+    masks = [sum(1 << bit[p] for p in parts) for parts in held]
+    per_step = len(load) // min(map(len, held))
+    depth = max(max(load.values()), -(-len(held) // per_step))
+    while (steps := _cover(masks, list(load.values()), per_step, depth)) is None:
         depth += 1
+    return depth, steps
 
 
 def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
-    """Exact minimum SBEP count for ``kind`` with a witness schedule.
+    """Exact minimum SBEP count for ``kind`` with a witness schedule: the
+    fewest steps in which every pair exchanges once, the exchanges of one
+    step holding disjoint parts (see ``_occupies``).
 
-    Exhaustive up to n=8 for every model; larger sizes raise
-    SearchTooLargeError and should use the bound operations instead.
+    Exhaustive up to n=20 for star, fcn1 and fcn-full and n=108 for the
+    chain; larger sizes raise SearchTooLargeError and should use the bound
+    operations instead.
     """
     if n < 2:
         raise InvalidSizeError(f"need at least 2 hosts, got {n}")
@@ -129,25 +148,8 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
         )
     topo = build_topology(kind, n)
     pairs = list(topo.pairs())
-
-    if kind is TopologyKind.FCN_FULL:
-        count, steps = 1, [pairs]
-    elif kind is TopologyKind.LCH:
-        count, steps = _search_min_cover(
-            pairs,
-            _compatible_interval,
-            start=chain_cut_lower_bound(n),
-            steps_needed=lambda rest: _chain_steps_needed(n, rest),
-        )
-    else:
-        count, steps = _search_min_cover(
-            pairs,
-            _compatible_matching,
-            start=chromatic_index_lower_bound(n),
-            steps_needed=lambda rest: math.ceil(len(rest) / (n // 2)),
-        )
-
-    witness = Schedule.from_pairs(topo, steps)
+    count, steps = _min_cover([_occupies(kind, lo, hi) for lo, hi in pairs])
+    witness = Schedule.from_pairs(topo, [[pairs[i] for i in step] for step in steps])
     return OracleResult(n=n, constraint_model=kind, min_steps=count, witness=witness)
 
 

@@ -102,10 +102,7 @@ class ValidationReport:
 
 def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
     out = []
-    load = Counter()
-    for e in step.exchanges:
-        load[e.initiator] += 1
-        load[e.responder] += 1
+    load = Counter(h for e in step.exchanges for h in (e.initiator, e.responder))
     for host in sorted(load):
         if host < 1 or host > t.n_hosts:
             out.append(Violation(step.index, "unknown-host", f"host {host}"))

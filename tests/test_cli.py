@@ -202,9 +202,10 @@ def test_oracle(capsys):
 
 
 def test_oracle_too_large(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--topology", "star", "--n", "12")
-    assert code == 3
-    assert err
+    code, out, err = run_cli(capsys, "oracle", "--topology", "star", "--n", "21")
+    assert (code, out) == (3, "")
+    assert err.startswith("kexnet: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_center_failure(capsys):

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from kexnet import oracle
 from kexnet.cli import main
 from kexnet.errors import InvalidSizeError, SearchTooLargeError
 from kexnet.oracle import (
@@ -135,16 +136,56 @@ def test_witnesses_validate(kind, n):
     assert len(result.witness.steps) == result.min_steps
 
 
-def test_search_ceiling():
-    with pytest.raises(SearchTooLargeError):
-        min_steps_bruteforce(TopologyKind.STAR, 9)
+def test_search_ceiling(capsys):
     assert min_steps_bruteforce(TopologyKind.LCH, 7).min_steps == 12
     result = min_steps_bruteforce(TopologyKind.LCH, 8)
     assert result.min_steps == 16
     assert validate_schedule(result.witness).ok
     assert len(result.witness.steps) == 16
-    with pytest.raises(SearchTooLargeError):
-        min_steps_bruteforce(TopologyKind.LCH, 9)
+    for kind, n in [("star", 21), ("fcn1", 21), ("fcn-full", 21), ("lch", 109)]:
+        with pytest.raises(SearchTooLargeError):
+            min_steps_bruteforce(TopologyKind(kind), n)
+        assert main(["oracle", "--topology", kind, "--n", str(n)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("kexnet: exhaustive search capped at n=")
+        assert len(err.splitlines()) == 1
+
+
+class _Started(Exception):
+    pass
+
+
+def _start_depth(kind, n, monkeypatch):
+    """The step count the search tries first on every pair of ``kind``."""
+
+    def first_depth(masks, load, per_step, depth):
+        raise _Started(depth)
+
+    monkeypatch.setattr(oracle, "_cover", first_depth)
+    pairs = build_topology(kind, n).pairs()
+    with pytest.raises(_Started) as started:
+        oracle._min_cover([oracle._occupies(kind, lo, hi) for lo, hi in pairs])
+    return started.value.args[0]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_start_depth_is_the_model_bound(n, monkeypatch):
+    expected = {
+        TopologyKind.STAR: chromatic_index_lower_bound(n),
+        TopologyKind.FCN_SINGLE: chromatic_index_lower_bound(n),
+        TopologyKind.LCH: chain_cut_lower_bound(n),
+        TopologyKind.FCN_FULL: 1,
+    }
+    for kind, bound in expected.items():
+        assert _start_depth(kind, n, monkeypatch) == bound
+
+
+@pytest.mark.parametrize("kind,n,steps", [(TopologyKind.STAR, 9, 9), (TopologyKind.LCH, 14, 49)])
+def test_witness_above_n8(kind, n, steps):
+    result = min_steps_bruteforce(kind, n)
+    assert result.min_steps == len(result.witness.steps) == steps
+    assert validate_schedule(result.witness).ok
 
 
 def test_bound_examples():
