@@ -1,6 +1,8 @@
 """Chain (LCH) schedules: the indexed generator against the plain greedy it
-replaced, the frozen CLI outputs, and the cut lower bound."""
+replaced, the frozen schedule digests and CLI outputs, and the cut lower
+bound."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -11,6 +13,7 @@ from kexnet.errors import InvalidSizeError
 from kexnet.oracle import chain_cut_lower_bound, min_steps_bruteforce
 from kexnet.protocols import generate_lch
 from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
+from kexnet.serialize import schedule_to_text
 from kexnet.topology import TopologyKind, build_topology
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -42,6 +45,19 @@ def _reference_lch(n: int) -> Schedule:
 @pytest.mark.parametrize("n", range(2, 41))
 def test_matches_reference_greedy(n):
     assert generate_lch(n) == _reference_lch(n)
+
+
+# One line per size: n and the sha256 of the text schedule, for the sizes the
+# reference greedy is too slow to check in the suite.
+DIGESTS = [
+    line.split() for line in (GOLDEN / "lch_sha256.txt").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("n,digest", DIGESTS)
+def test_matches_frozen_digest(n, digest):
+    text = schedule_to_text(generate_lch(int(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
