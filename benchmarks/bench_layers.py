@@ -1,0 +1,89 @@
+"""Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
+
+One benchmark per row of that table, each timing one layer call in process:
+generators, validator, serializers, simulator, oracle and two CLI commands.
+Inputs are built outside the timed call. Run from the repository root:
+
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py --benchmark-json=out.json
+
+``--benchmark-disable`` runs each body once without timing, as a smoke test.
+The file name does not match ``test_*.py``, so the test suite skips it.
+"""
+
+import json
+
+import pytest
+
+from kexnet import oracle, protocols, serialize, simengine
+from kexnet.analysis import CableFailure
+from kexnet.cli import main
+from kexnet.schedule import validate_schedule
+from kexnet.topology import TopologyKind, build_topology
+
+STAR = TopologyKind.STAR
+
+
+@pytest.fixture(scope="module")
+def star400():
+    return protocols.generate_star(400)
+
+
+def test_generate_star(benchmark):
+    benchmark(protocols.generate_star, 400)
+
+
+@pytest.mark.parametrize("kind", [STAR, TopologyKind.FCN_FULL])
+def test_validate_schedule(benchmark, kind):
+    schedule = protocols.generate_schedule(kind, 400)
+    assert benchmark(validate_schedule, schedule).ok
+
+
+def test_schedule_to_json(benchmark, star400):
+    benchmark(serialize.schedule_to_json, star400)
+
+
+def test_json_to_schedule(benchmark, star400):
+    text = serialize.schedule_to_json(star400)
+    assert benchmark(serialize.json_to_schedule, text) == star400
+
+
+def test_text_to_schedule(benchmark, star400):
+    text = serialize.schedule_to_text(star400)
+    assert benchmark(serialize.text_to_schedule, text, star400.topology) == star400
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_generate_lch(benchmark, n):
+    assert len(benchmark(protocols.generate_lch, n).steps) == n * n // 4
+
+
+@pytest.mark.parametrize(
+    "n,k,failures",
+    [(50, 100, ((3, CableFailure(1)),)), (200, 10, ())],
+    ids=["n50-k100-cable@3", "n200-k10"],
+)
+def test_simengine_run(benchmark, n, k, failures):
+    config = simengine.SimConfig(build_topology(STAR, n), key_bits=k, failures=failures)
+    benchmark(simengine.run, config)
+
+
+# star n=9 and chain n=14 are the rows the recursive oracle could not finish.
+@pytest.mark.parametrize(
+    "kind,n",
+    [(STAR, 8), (TopologyKind.FCN_SINGLE, 8), (STAR, 9), (TopologyKind.LCH, 14)],
+)
+def test_oracle(benchmark, kind, n):
+    benchmark(oracle.min_steps_bruteforce, kind, n)
+
+
+def test_cli_formula(benchmark):
+    assert benchmark(main, ["formula", "--n", "5"]) == 0
+
+
+def test_cli_validate_empty_star600(benchmark, tmp_path):
+    # Every pair is missing: one report line per pair, written to a file.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"topology": {"kind": "star", "n_hosts": 600}, "steps": []}))
+    argv = ["validate", "--in", str(path), "--out", str(tmp_path / "report.txt")]
+    assert benchmark(main, argv) == 3

@@ -12,7 +12,7 @@ All generators are deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
 from .schedule import Schedule
@@ -202,41 +202,31 @@ def generate_fcn_single(n: int) -> Schedule:
     return Schedule.from_pairs(topo, steps)
 
 
-def _pack_chain_step(
-    lows: list[tuple[int, list[int]]], full: int
-) -> list[tuple[int, int]]:
+def _pack_chain_step(lows: list[list[int]], n: int) -> list[tuple[int, int]]:
     """Pack one chain step, longest span first, then by low end; packed
     pairs are removed from ``lows``.
 
-    ``lows`` pairs each span length (longest first) with the ascending low
-    ends of the pairs still waiting. Bit k of ``used`` is the segment
-    between hosts k and k+1, so a candidate fits iff its window of bits
-    misses ``used``. Every candidate whose window reaches into an occupied
-    run is skipped with one bisect, and the step ends once ``used == full``.
+    ``lows[span]`` holds the ascending low ends of the waiting pairs of
+    that span, for every span up to the longest one still waiting. Segment
+    k lies between hosts k and k+1. An exchange holds only the segments it
+    crosses, so it splits the run of free segments it lies in into two,
+    and no pair fits in both: what one run takes never changes what fits
+    in the other. So each run takes the longest waiting span that fits
+    inside it, at its lowest low end, and the two runs left beside that
+    exchange are packed the same way; this is the step-wide greedy, run by
+    run.
     """
-    used = 0
-    packed = []
-    for span, los in lows:
-        ones = (1 << span) - 1
-        i = 0
-        while i < len(los):
-            lo = los[i]
-            blocked = used & (ones << lo)
-            if blocked:
-                # A window starting at or below ``top`` still covers it, and
-                # one starting higher in the same occupied run starts on a
-                # used segment: skip to the first low end above that run.
-                top = blocked.bit_length() - 1
-                above = used >> (top + 1)
-                run_top = top + (above ^ (above + 1)).bit_length() - 1
-                i = bisect_right(los, run_top, i)
-                continue
-            used |= ones << lo
-            packed.append((lo, lo + span))
-            del los[i]
-            if used == full:
-                return packed
-            i = bisect_left(los, lo + span, i)
+    packed, runs = [], [(1, n - 1)]
+    while runs:
+        a, b = runs.pop()
+        for span in range(min(b - a + 1, len(lows) - 1), 0, -1):
+            los = lows[span]
+            i = bisect_left(los, a)
+            if i < len(los) and los[i] + span - 1 <= b:
+                lo = los.pop(i)
+                packed.append((lo, lo + span))
+                runs += [(a, lo - 1), (lo + span, b)]
+                break
     return packed
 
 
@@ -248,13 +238,13 @@ def generate_lch(n: int) -> Schedule:
     the cut lower bound (``oracle.chain_cut_lower_bound``), so it is optimal.
     """
     topo = build_topology(TopologyKind.LCH, n)
-    lows = [(span, list(range(1, n - span + 1))) for span in range(n - 1, 0, -1)]
-    full = ((1 << (n - 1)) - 1) << 1
+    # No pair has span 0, so trimming empty tails leaves no list at the end.
+    lows = [[]] + [list(range(1, n - span + 1)) for span in range(1, n)]
     steps = []
     while lows:
-        packed = _pack_chain_step(lows, full)
-        lows = [(span, los) for span, los in lows if los]
-        steps.append(sorted(packed))
+        steps.append(sorted(_pack_chain_step(lows, n)))
+        while lows and not lows[-1]:
+            lows.pop()
     return Schedule.from_pairs(topo, steps)
 
 

@@ -248,6 +248,36 @@ def test_simulate_bad_input(argv, code, capsys):
     assert err.startswith("kexnet: ") and err.count("\n") == 1
 
 
+SIMULATE_STAR5 = ["simulate", "--topology", "star", "--n", "5", "--fail"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["formula", "--range", "5"], "bad range '5', expected a..b"),
+        (["formula", "--range", "a..b"], "bad range 'a..b', expected a..b"),
+        (["formula", "--range", "5..3"], "empty range '5..3'"),
+        (["formula", "--range", "1..5"], "--range must start at 2 or above, got 1..5"),
+        (["formula"], "give exactly one of --n or --range"),
+        (["formula", "--n", "5", "--range", "2..3"], "give exactly one of --n or --range"),
+        (SIMULATE_STAR5 + ["cable:x@3"], "bad cable identifier in 'cable:x@3'"),
+        (SIMULATE_STAR5 + ["cable:1-2-3@3"], "bad cable identifier in 'cable:1-2-3@3'"),
+        (SIMULATE_STAR5 + ["ke:1:2:3@3"], "bad exchanger identifier in 'ke:1:2:3@3'"),
+        (SIMULATE_STAR5 + ["ke:x@3"], "bad exchanger identifier in 'ke:x@3'"),
+        (SIMULATE_STAR5 + ["hub@3"], "unknown failure component in 'hub@3'"),
+        (["validate", "--in", "t.txt"], "text schedules need --topology and --n"),
+        (
+            ["validate", "--in", "t.txt", "--topology", "star"],
+            "text schedules need --topology and --n",
+        ),
+    ],
+)
+def test_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("step 1: (1,2)\n")
+    assert run_cli(capsys, *argv) == (2, "", f"kexnet: {message}\n")
+
+
 def test_regress(capsys):
     code, out, _ = run_cli(capsys, "regress", "--n-max", "20")
     assert code == 0

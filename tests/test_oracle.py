@@ -188,6 +188,35 @@ def test_witness_above_n8(kind, n, steps):
     assert validate_schedule(result.witness).ok
 
 
+# Outer 5-cycle, spokes, inner pentagram: 3-regular on 10 vertices with
+# chromatic index 4, so the start bound of 3 (the busiest vertex, and 15
+# edges at 5 a step) fails and the search has to deepen.
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+def test_petersen_deepens_past_a_failed_bound(monkeypatch):
+    tried = []
+    cover = oracle._cover
+
+    def recording_cover(masks, load, per_step, depth):
+        found = cover(masks, load, per_step, depth)
+        tried.append((depth, found is not None))
+        return found
+
+    monkeypatch.setattr(oracle, "_cover", recording_cover)
+    depth, steps = oracle._min_cover([[u, v] for u, v in PETERSEN])
+    assert depth == len(steps) == 4
+    assert tried == [(3, False), (4, True)]
+    for step in steps:
+        hosts = [h for i in step for h in PETERSEN[i]]
+        assert len(hosts) == len(set(hosts))
+    assert sorted(i for step in steps for i in step) == list(range(len(PETERSEN)))
+
+
 def test_bound_examples():
     assert chromatic_index_lower_bound(6) == 5
     assert chromatic_index_lower_bound(7) == 7
