@@ -1,7 +1,9 @@
 """Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
 
-One benchmark per row of that table, each timing one layer call in process:
-generators, validator, serializers, simulator, oracle and two CLI commands.
+One benchmark per row of that table, plus the fcn1 generator and the text
+writer that the star round trip also runs. Each times one layer call in
+process: generators, validator, serializers, simulator, oracle and two CLI
+commands.
 Inputs are built outside the timed call. Run from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
@@ -33,6 +35,10 @@ def test_generate_star(benchmark):
     benchmark(protocols.generate_star, 400)
 
 
+def test_generate_fcn_single(benchmark):
+    benchmark(protocols.generate_fcn_single, 400)
+
+
 @pytest.mark.parametrize("kind", [STAR, TopologyKind.FCN_FULL])
 def test_validate_schedule(benchmark, kind):
     schedule = protocols.generate_schedule(kind, 400)
@@ -41,6 +47,10 @@ def test_validate_schedule(benchmark, kind):
 
 def test_schedule_to_json(benchmark, star400):
     benchmark(serialize.schedule_to_json, star400)
+
+
+def test_schedule_to_text(benchmark, star400):
+    benchmark(serialize.schedule_to_text, star400)
 
 
 def test_json_to_schedule(benchmark, star400):

@@ -14,32 +14,32 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, starmap
+from typing import NamedTuple
 
 from .errors import AmbiguousStepError
 from .topology import NetworkTopology, TopologyKind
 
 
-@dataclass(frozen=True, order=True)
-class PairExchange:
-    """One secure bit exchange, presented initiator -> responder."""
+class PairExchange(NamedTuple("PairExchange", [("initiator", int), ("responder", int)])):
+    """One secure bit exchange, presented initiator -> responder; a tuple."""
 
-    initiator: int
-    responder: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.initiator == self.responder:
-            raise ValueError(f"host {self.initiator} cannot exchange with itself")
+    def __new__(cls, initiator: int, responder: int) -> PairExchange:
+        if initiator == responder:
+            raise ValueError(f"host {initiator} cannot exchange with itself")
+        return tuple.__new__(cls, (initiator, responder))
 
     @property
     def span(self) -> tuple[int, int]:
         """(low, high): the unordered identity of the exchange, and on a
         chain the wire interval it occupies."""
-        a, b = self.initiator, self.responder
+        a, b = self
         return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class SbepStep:
+class SbepStep(NamedTuple):
     """One secure bit exchange period: simultaneous, non-conflicting pairs."""
 
     index: int
@@ -60,7 +60,7 @@ class Schedule:
         return cls(
             topology,
             tuple(
-                SbepStep(i, tuple(PairExchange(a, b) for a, b in pairs))
+                SbepStep(i, tuple(starmap(PairExchange, pairs)))
                 for i, pairs in enumerate(steps, 1)
             ),
         )
@@ -101,8 +101,11 @@ class ValidationReport:
 
 
 def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
+    hosts = list(chain.from_iterable(step.exchanges))
+    if len(set(hosts)) == len(hosts) and all(map(t.hosts().__contains__, hosts)):
+        return []
     out = []
-    load = Counter(h for e in step.exchanges for h in (e.initiator, e.responder))
+    load = Counter(hosts)
     for host in sorted(load):
         if host < 1 or host > t.n_hosts:
             out.append(Violation(step.index, "unknown-host", f"host {host}"))

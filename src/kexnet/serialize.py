@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 
 from .errors import ScheduleFormatError
 from .schedule import PairExchange, SbepStep, Schedule
 from .topology import TopologyKind, build_topology, NetworkTopology
 
-_STEP_RE = re.compile(r"^step (\d+):((?: \(\d+,\d+\))*)$")
-_PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
+_STEP_RE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
+_ID_RE = re.compile(r"\d+")
+# One pair as json.dumps(indent=2) lays it out inside a step.
+_JSON_PAIR = "[\n        %s,\n        %s\n      ]"
 
 
 def step_to_line(step: SbepStep) -> str:
@@ -44,28 +47,31 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
     for line in text.splitlines():
         if not line.strip():
             continue
-        m = _STEP_RE.match(line)
-        if m is None:
+        if _STEP_RE.match(line) is None:
             raise ScheduleFormatError(f"malformed schedule line: {line!r}")
         try:
-            index = int(m.group(1))
-            exchanges = tuple(
-                PairExchange(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))
-            )
+            index, *ids = map(int, _ID_RE.findall(line))
+            exchanges = tuple(map(PairExchange, ids[0::2], ids[1::2]))
         except ValueError as exc:
             raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
-        steps.append(SbepStep(index=index, exchanges=exchanges))
+        steps.append(SbepStep(index, exchanges))
     return Schedule(topology=topology, steps=tuple(steps))
 
 
 def schedule_to_json(s: Schedule) -> str:
-    doc = {
-        "topology": {"kind": s.topology.kind.value, "n_hosts": s.topology.n_hosts},
-        "steps": [
-            [[e.initiator, e.responder] for e in step.exchanges] for step in s.steps
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of json.dumps(doc, indent=2) + "\\n", written directly."""
+    steps = [
+        "[\n      " + ",\n      ".join(map(_JSON_PAIR.__mod__, step.exchanges)) + "\n    ]"
+        if step.exchanges
+        else "[]"
+        for step in s.steps
+    ]
+    body = "[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]"
+    t = s.topology
+    return (
+        f'{{\n  "topology": {{\n    "kind": {json.dumps(t.kind.value)},\n'
+        f'    "n_hosts": {t.n_hosts}\n  }},\n  "steps": {body}\n}}\n'
+    )
 
 
 def json_to_schedule(text: str) -> Schedule:
@@ -75,8 +81,8 @@ def json_to_schedule(text: str) -> Schedule:
         kind = TopologyKind(doc["topology"]["kind"])
         n_hosts = doc["topology"]["n_hosts"]
         steps = doc["steps"]
-        ids = [n_hosts] + [h for step in steps for pair in step for h in pair]
-        if any(type(h) is not int for h in ids):
+        hosts = chain.from_iterable(chain.from_iterable(steps))
+        if {type(n_hosts), *map(type, hosts)} != {int}:
             raise TypeError("n_hosts and host ids must be integers")
         return Schedule.from_pairs(build_topology(kind, n_hosts), steps)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,9 @@ from kexnet.schedule import (
     PairExchange,
     SbepStep,
     Schedule,
+    ValidationReport,
+    Violation,
+    _step_interval_violations,
     host_states,
     pair_coverage,
     validate_schedule,
@@ -148,3 +153,140 @@ def test_host_states_involution(n):
 def test_coverage_sums(kind, n):
     cov = pair_coverage(generate_schedule(kind, n))
     assert sum(cov.values()) == n * (n - 1) // 2
+
+
+# --- the validator before its one-pass step check, kept as the reference -----
+
+
+def _reference_capacity_violations(step, t):
+    out = []
+    load = Counter(h for e in step.exchanges for h in (e.initiator, e.responder))
+    for host in sorted(load):
+        if host < 1 or host > t.n_hosts:
+            out.append(Violation(step.index, "unknown-host", f"host {host}"))
+        elif load[host] > t.exchangers_per_host:
+            out.append(
+                Violation(
+                    step.index,
+                    "capacity",
+                    f"host {host} in {load[host]} exchanges, "
+                    f"capacity {t.exchangers_per_host}",
+                )
+            )
+    return out
+
+
+def _reference_validate(s):
+    t = s.topology
+    violations = []
+    for position, step in enumerate(s.steps, 1):
+        if step.index != position:
+            violations.append(
+                Violation(step.index, "step-index", f"expected index {position}")
+            )
+        violations.extend(_reference_capacity_violations(step, t))
+        if t.kind is TopologyKind.LCH:
+            violations.extend(_step_interval_violations(step, t))
+
+    seen = {}
+    for step in s.steps:
+        for e in step.exchanges:
+            p = e.span
+            if p in seen:
+                violations.append(
+                    Violation(
+                        step.index,
+                        "duplicate-pair",
+                        f"({p[0]},{p[1]}) already exchanged in step {seen[p]}",
+                    )
+                )
+            else:
+                seen[p] = step.index
+    for a, b in t.pairs():
+        if (a, b) not in seen:
+            violations.append(Violation(None, "missing-pair", f"({a},{b})"))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+CORRUPTIONS = ("drop", "duplicate", "host-0", "host-n+1", "overload", "misnumber")
+
+
+def _corrupt(s, how, data):
+    """``s`` with one corruption of kind ``how``, at places drawn from ``data``."""
+    n = s.topology.n_hosts
+    steps = [[step.index, list(step.exchanges)] for step in s.steps]
+    step = data.draw(st.sampled_from(steps))
+    index, exchanges = step
+    if how == "misnumber":
+        step[0] = data.draw(st.integers(0, len(steps) + 1).filter(lambda i: i != index))
+    elif how == "duplicate":
+        pool = [e for _, es in steps for e in es]
+        if pool:
+            at = data.draw(st.integers(0, len(exchanges)))
+            exchanges.insert(at, data.draw(st.sampled_from(pool)))
+    elif exchanges:
+        k = data.draw(st.integers(0, len(exchanges) - 1))
+        a = exchanges[k].initiator
+        if how == "drop":
+            del exchanges[k]
+        elif how == "overload":
+            c = data.draw(st.integers(1, n).filter(lambda h: h != a))
+            exchanges.append(PairExchange(a, c))
+        else:
+            exchanges[k] = PairExchange(a, 0 if how == "host-0" else n + 1)
+    return Schedule(s.topology, tuple(SbepStep(i, tuple(es)) for i, es in steps))
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    hows=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_validator_matches_reference(kind, n, hows, data):
+    s = generate_schedule(kind, n)
+    for how in hows:
+        s = _corrupt(s, how, data)
+    assert validate_schedule(s) == _reference_validate(s)
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_validator_matches_reference_on_generated(kind):
+    for n in range(2, 41):
+        s = generate_schedule(kind, n)
+        assert validate_schedule(s) == _reference_validate(s) == ValidationReport(True)
+
+
+# --- the data model's contract ------------------------------------------------
+
+
+def test_pair_fields_and_keywords():
+    assert PairExchange._fields == ("initiator", "responder")
+    assert SbepStep._fields == ("index", "exchanges")
+    e = PairExchange(responder=2, initiator=5)
+    assert (e.initiator, e.responder) == (5, 2) == PairExchange(5, 2)
+    assert e.span == (2, 5) and PairExchange(2, 5).span == (2, 5)
+
+
+def test_pair_is_its_plain_tuple():
+    assert PairExchange(1, 2) == (1, 2)
+    assert hash(PairExchange(1, 2)) == hash((1, 2))
+    assert PairExchange(1, 2) != PairExchange(2, 1)
+    assert {PairExchange(3, 4): "x"}[(3, 4)] == "x"
+    assert SbepStep(1, (PairExchange(1, 2),)) == (1, ((1, 2),))
+
+
+@given(st.lists(st.tuples(st.integers(-5, 50), st.integers(-5, 50))))
+def test_pair_sort_order_is_field_order(pairs):
+    # The dataclass order: initiator first, then responder.
+    exchanges = [PairExchange(a, b) for a, b in pairs if a != b]
+    assert sorted(exchanges) == sorted(exchanges, key=lambda e: (e.initiator, e.responder))
+
+
+def test_self_pair_rejected_everywhere():
+    with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
+        PairExchange(initiator=3, responder=3)
+    topo = build_topology(TopologyKind.STAR, 4)
+    with pytest.raises(ValueError, match="itself"):
+        Schedule.from_pairs(topo, [[(1, 2)], [(4, 4)]])
