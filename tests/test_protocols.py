@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 
@@ -18,6 +19,7 @@ from kexnet.protocols import (
     sbep_formula,
 )
 from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
+from kexnet.serialize import schedule_to_text
 from kexnet.topology import TopologyKind, build_topology
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -310,6 +312,19 @@ def _reference_star(n: int) -> Schedule:
 @pytest.mark.parametrize("n", range(2, 81))
 def test_star_matches_reference(n):
     assert generate_star(n) == _reference_star(n)
+
+
+# One line per size: n and the sha256 of the text schedule, for sizes past
+# the reference comparison. Many of them make the residual search retreat.
+STAR_DIGESTS = [
+    line.split() for line in (GOLDEN / "star_sha256.txt").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("n,digest", STAR_DIGESTS)
+def test_star_matches_frozen_digest(n, digest):
+    text = schedule_to_text(generate_star(int(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [5, 16, 40])
