@@ -22,10 +22,6 @@ class AmbiguousStepError(KexnetError):
 class ProtocolConstructionError(KexnetError):
     """The residual-merging search could not reach the required step count."""
 
-    def __init__(self, message: str, achieved_steps: int | None = None) -> None:
-        super().__init__(message)
-        self.achieved_steps = achieved_steps
-
 
 class ModelInconsistencyError(KexnetError):
     """The per-distance step rule and the closed-form count disagree."""

@@ -1,18 +1,19 @@
 """Schedule generators for the four topologies and the SBEP count formula.
 
-The star generator works distance class by distance class: for neighbor
-distance d, the exchanges {i, i+d mod N} form gcd(N, d) disjoint cycles.
-Each cycle is split into two alternating matchings plus, for most
-distances, one leftover "residual" edge per cycle; residual steps from
-different distances are then merged pairwise (when their hosts are
-disjoint) until the total step count matches the closed-form formula.
-All generators are deterministic.
+The star generator works by neighbor distance: for distance d, the
+exchanges {i, i+d mod N} form gcd(N, d) disjoint cycles. Each cycle is
+split into two alternating matchings plus, for most distances, one
+leftover "residual" edge per cycle. The largest residual distances are
+paired into groups whose residual edges share one step, enough to reach
+the closed-form count, and the schedule is built in step order one group
+at a time, with no recursion. All generators are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
 from .schedule import Schedule
@@ -74,55 +75,60 @@ def _cycles(n: int, d: int) -> list[list[tuple[int, int]]]:
 
 
 def _choose_disjoint_residuals(
-    cycles: dict[int, list[list[tuple[int, int]]]], group: list[int]
+    cycles: dict[int, list[list[tuple[int, int]]]],
 ) -> dict[tuple[int, int], int] | None:
-    """Pick one residual edge per cycle of each distance in ``group``, all
+    """Pick one residual edge per cycle of every distance in ``cycles``, all
     host-disjoint.
 
-    Backtracking over cycles; within a cycle the edge initiated by its
-    largest host is tried first so the unmerged canonical choice is kept
-    whenever possible. Returns {(distance, cycle_index): edge_index} or None.
+    Depth-first over the cycles, shortest first, then by distance and cycle
+    index; within a cycle the edge initiated by its largest host is tried
+    first, so the unmerged canonical choice is kept whenever possible. A
+    stack of untried-edge iterators, not recursion, holds the search path,
+    so any depth works. Returns {(distance, cycle_index): edge_index} or None.
     """
     slots = []
-    for d in group:
-        for ci, edges in enumerate(cycles[d]):
-            length = len(edges)
-            anchor = max(range(length), key=lambda k: edges[k][0])
-            order = [(anchor + k) % length for k in range(length)]
-            slots.append((length, d, ci, order))
-    # most-constrained cycles first keeps the backtracking shallow
+    for d, per_distance in cycles.items():
+        for ci, edges in enumerate(per_distance):
+            anchor = max(range(len(edges)), key=lambda k: edges[k][0])
+            indexed = list(enumerate(edges))
+            slots.append((len(edges), d, ci, indexed[anchor:] + indexed[:anchor]))
     slots.sort(key=lambda slot: slot[:3])
 
-    chosen: dict[tuple[int, int], int] = {}
+    picks: list[tuple[int, tuple[int, int]]] = []  # (index, edge) per slot entered
     used: set[int] = set()
+    stack = [iter(slots[0][3])]
+    while stack:
+        for k, (a, b) in stack[-1]:
+            if a not in used and b not in used:
+                break
+        else:  # no edge fits: retreat and free the previous slot's edge
+            stack.pop()
+            if picks:
+                used.difference_update(picks.pop()[1])
+            continue
+        picks.append((k, (a, b)))
+        used.update((a, b))
+        if len(picks) == len(slots):
+            return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
+        stack.append(iter(slots[len(picks)][3]))
+    return None
 
-    def backtrack(i: int) -> bool:
-        if i == len(slots):
-            return True
-        _, d, ci, order = slots[i]
-        for k in order:
-            a, b = cycles[d][ci][k]
-            if a in used or b in used:
-                continue
-            chosen[d, ci] = k
-            used.update((a, b))
-            if backtrack(i + 1):
-                return True
-            used.difference_update((a, b))
-        return False
 
-    return chosen if backtrack(0) else None
+def _two_phases(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """The alternating matchings of edge paths: even positions, then odd."""
+    return [sorted(chain.from_iterable(p[k::2] for p in paths)) for k in (0, 1)]
 
 
 def generate_star(n: int) -> Schedule:
-    """Star-protocol schedule: ascending distance, two phases plus residual,
-    residual steps merged across distances down to sbep_formula(n) steps.
+    """Star-protocol schedule in sbep_formula(n) steps, built group by group.
+
+    For even n, distance 1 gives two phases first and the opposite-host
+    step comes last. Each residual group gives its first distance's two
+    phases, the group's residual step and, for a merged pair, the second
+    distance's two phases.
     """
     topo = build_topology(TopologyKind.STAR, n)
-    counts = {d: _raw_count(n, d) for d in range(1, n // 2 + 1)}
-    cycles = {d: _cycles(n, d) for d, c in counts.items() if c > 1}
-
-    residual_distances = [d for d, c in counts.items() if c == 3]
+    residual_distances = [d for d in range(1, n // 2 + 1) if _raw_count(n, d) == 3]
     unmerged = len(residual_distances) - 2 * merge_budget(n)
     if unmerged < 0:
         raise ProtocolConstructionError(f"not enough residual steps to merge at n={n}")
@@ -131,45 +137,33 @@ def generate_star(n: int) -> Schedule:
         residual_distances[i : i + 2]
         for i in range(unmerged, len(residual_distances), 2)
     ]
-    residuals: dict[tuple[int, int], int] = {}
-    lead: dict[int, int] = {}  # distance -> the first distance of its group
+
+    steps: list[list[tuple[int, int]]] = []
+    if n % 2 == 0 and n > 2:
+        steps += _two_phases(_cycles(n, 1))
     for group in groups:
-        chosen = _choose_disjoint_residuals(cycles, group)
+        cycles = {d: _cycles(n, d) for d in group}
+        chosen = _choose_disjoint_residuals(cycles)
         if chosen is None:
             raise ProtocolConstructionError(
                 f"no host-disjoint residual assignment for distances {group} at n={n}"
             )
-        residuals.update(chosen)
-        lead.update((d, group[0]) for d in group)
-
-    steps: list[list[tuple[int, int]]] = []
-    residual_slot: dict[int, int] = {}
-    for d, count in counts.items():
-        if count == 1:
-            steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])
-            continue
-        phase_a, phase_b, residual = [], [], []
-        for ci, edges in enumerate(cycles[d]):
-            if count == 3:
-                r = residuals[d, ci]
+        residual, phases = [], []
+        for d, per_distance in cycles.items():
+            paths = []
+            for ci, edges in enumerate(per_distance):
+                r = chosen[d, ci]
                 residual.append(edges[r])
-                edges = edges[r + 1 :] + edges[:r]
-            phase_a += edges[0::2]
-            phase_b += edges[1::2]
-        steps += [sorted(phase_a), sorted(phase_b)]
-        if count == 3:
-            if lead[d] == d:
-                residual_slot[d] = len(steps)
-                steps.append(sorted(residual))
-            else:
-                slot = residual_slot[lead[d]]
-                steps[slot] = sorted(steps[slot] + residual)
+                paths.append(edges[r + 1 :] + edges[:r])
+            phases += _two_phases(paths)
+        steps += phases[:2] + [sorted(residual)] + phases[2:]
+    if n % 2 == 0:
+        steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])
 
     if len(steps) != sbep_formula(n):
         raise ProtocolConstructionError(
             f"star construction produced {len(steps)} steps at n={n}, "
-            f"expected {sbep_formula(n)}",
-            achieved_steps=len(steps),
+            f"expected {sbep_formula(n)}"
         )
     return Schedule.from_pairs(topo, steps)
 

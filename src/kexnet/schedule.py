@@ -31,6 +31,11 @@ class PairExchange(NamedTuple("PairExchange", [("initiator", int), ("responder",
             raise ValueError(f"host {initiator} cannot exchange with itself")
         return tuple.__new__(cls, (initiator, responder))
 
+    @classmethod
+    def _make(cls, iterable) -> PairExchange:
+        # The inherited _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
+
     @property
     def span(self) -> tuple[int, int]:
         """(low, high): the unordered identity of the exchange, and on a

@@ -68,8 +68,8 @@ def run(config: SimConfig) -> SimReport:
     for start, stop in zip(bounds, bounds[1:]):
         ok, _ = capable_pairs(topo, [f for t, f in config.failures if t <= start])
         for s, step in enumerate(schedule.steps, 1):
-            # Step s runs at the times t in [start, stop) with t = s mod period.
-            times = len(range(start + (s - start) % period, stop, period))
+            # How many t in [start, stop) have t = s mod period, by ceiling division.
+            times = -((start + (s - start) % period - stop) // period)
             if not times:
                 continue
             active_hosts: set[int] = set()

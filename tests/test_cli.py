@@ -225,6 +225,16 @@ def test_simulate_csv(capsys):
     assert out == "pair,bits\n1-2,1\n1-3,1\n2-3,1\n"
 
 
+def test_simulate_huge_k(capsys):
+    k = "99999999999999999999"
+    code, out, err = run_cli(
+        capsys, "simulate", "--topology", "star", "--n", "3", "--k", k
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:4] == [f"{p}   {k}" for p in ("1-2", "1-3", "2-3")]
+    assert out.splitlines()[-2:] == [f"steps_executed {3 * int(k)}", "lost_pairs 0"]
+
+
 def test_bad_failure_spec(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--topology", "star", "--n", "5", "--fail", "bogus@x"

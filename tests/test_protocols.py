@@ -327,6 +327,17 @@ def test_star_matches_frozen_digest(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_residual_search_deeper_than_recursion_limit():
+    # One group of 1,000 cycles of 3 hosts: cycle ci holds hosts ci+1,
+    # ci+1001 and ci+2001, and keeps the edge its largest host initiates.
+    cycles = protocols._cycles(3000, 1000)
+    chosen = protocols._choose_disjoint_residuals({1000: cycles})
+    assert sorted(chosen) == [(1000, ci) for ci in range(1000)]
+    assert [cycles[ci][chosen[1000, ci]] for ci in range(1000)] == [
+        (ci + 2001, ci + 1) for ci in range(1000)
+    ]
+
+
 @pytest.mark.parametrize("n", [5, 16, 40])
 def test_star_builds_cycles_once_per_distance(n, monkeypatch):
     calls = []

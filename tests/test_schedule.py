@@ -76,6 +76,10 @@ def test_self_exchange_rejected():
         PairExchange(initiator=3, responder=3)
     with pytest.raises(ValueError, match="itself"):
         Schedule.from_pairs(build_topology(TopologyKind.STAR, 4), [[(1, 2)], [(4, 4)]])
+    with pytest.raises(ValueError, match="host 1 cannot exchange with itself"):
+        PairExchange(1, 2)._replace(responder=1)
+    with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
+        PairExchange._make((3, 3))
 
 
 def test_host_states_table_rows():

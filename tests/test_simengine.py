@@ -222,3 +222,21 @@ def test_large_k_exact():
         p: 10**8 + 1 if p in first else 10**8 for p in all_pairs(5)
     }
     assert report.lost_pairs == frozenset(all_pairs(5))
+
+
+def test_key_bits_past_ssize_t_exact():
+    # 10^19 whole passes, more than sys.maxsize step times, then steps 1-3
+    # once more before the center fails at the start of step 4.
+    config = SimConfig(
+        topology=star(5),
+        key_bits=10**20,
+        failures=((6 * 10**19 + 4, CenterSwitchFailure()),),
+    )
+    report = run(config)
+    steps = generate_schedule(TopologyKind.STAR, 5).steps
+    first = {e.span for step in steps[:3] for e in step.exchanges}
+    assert report.steps_executed == 6 * 10**20
+    assert report.bits_per_pair == {
+        p: 10**19 + 1 if p in first else 10**19 for p in all_pairs(5)
+    }
+    assert report.lost_pairs == frozenset(all_pairs(5))
