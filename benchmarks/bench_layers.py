@@ -3,7 +3,8 @@
 One benchmark per row of that table, plus the fcn1 generator and the text
 writer that the star round trip also runs. Each times one layer call in
 process: generators, validator, serializers, simulator, oracle and two CLI
-commands.
+commands. ``test_star_roundtrip`` times the whole star json round trip at
+n=400 (generate, write, parse, validate) as one number.
 Inputs are built outside the timed call. Run from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
@@ -20,7 +21,7 @@ import pytest
 from kexnet import oracle, protocols, serialize, simengine
 from kexnet.analysis import CableFailure
 from kexnet.cli import main
-from kexnet.schedule import validate_schedule
+from kexnet.schedule import Schedule, validate_schedule
 from kexnet.topology import TopologyKind, build_topology
 
 STAR = TopologyKind.STAR
@@ -43,6 +44,23 @@ def test_generate_fcn_single(benchmark):
 def test_validate_schedule(benchmark, kind):
     schedule = protocols.generate_schedule(kind, 400)
     assert benchmark(validate_schedule, schedule).ok
+
+
+def test_validate_schedule_missing_pair(benchmark, star400):
+    # One pair dropped: the validator walks every pair to name it.
+    first, *rest = [step.exchanges for step in star400.steps]
+    schedule = Schedule.from_pairs(star400.topology, [first[1:], *rest])
+    report = benchmark(validate_schedule, schedule)
+    assert [v.kind for v in report.violations] == ["missing-pair"]
+
+
+def _star_roundtrip(n):
+    text = serialize.schedule_to_json(protocols.generate_star(n))
+    return validate_schedule(serialize.json_to_schedule(text))
+
+
+def test_star_roundtrip(benchmark):
+    assert benchmark(_star_roundtrip, 400).ok
 
 
 def test_schedule_to_json(benchmark, star400):
@@ -92,7 +110,7 @@ def test_cli_formula(benchmark):
 
 
 def test_cli_validate_empty_star600(benchmark, tmp_path):
-    # Every pair is missing: one report line per pair, written to a file.
+    # Every pair is missing: 100 report lines and a count, written to a file.
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"topology": {"kind": "star", "n_hosts": 600}, "steps": []}))
     argv = ["validate", "--in", str(path), "--out", str(tmp_path / "report.txt")]

@@ -36,7 +36,6 @@ from .protocols import (
 from .schedule import (
     HostRole,
     HostState,
-    PairExchange,
     SbepStep,
     Schedule,
     ValidationReport,

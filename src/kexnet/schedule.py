@@ -14,41 +14,18 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, starmap
+from itertools import chain, count, filterfalse, islice
 from typing import NamedTuple
 
 from .errors import AmbiguousStepError
 from .topology import NetworkTopology, TopologyKind
 
 
-class PairExchange(NamedTuple("PairExchange", [("initiator", int), ("responder", int)])):
-    """One secure bit exchange, presented initiator -> responder; a tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, initiator: int, responder: int) -> PairExchange:
-        if initiator == responder:
-            raise ValueError(f"host {initiator} cannot exchange with itself")
-        return tuple.__new__(cls, (initiator, responder))
-
-    @classmethod
-    def _make(cls, iterable) -> PairExchange:
-        # The inherited _make, which _replace calls, would skip __new__.
-        return cls(*iterable)
-
-    @property
-    def span(self) -> tuple[int, int]:
-        """(low, high): the unordered identity of the exchange, and on a
-        chain the wire interval it occupies."""
-        a, b = self
-        return (a, b) if a < b else (b, a)
-
-
 class SbepStep(NamedTuple):
-    """One secure bit exchange period: simultaneous, non-conflicting pairs."""
+    """One secure bit exchange period: simultaneous (initiator, responder) pairs."""
 
     index: int
-    exchanges: tuple[PairExchange, ...]
+    exchanges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -61,16 +38,15 @@ class Schedule:
         cls, topology: NetworkTopology, steps: Iterable[Iterable[tuple[int, int]]]
     ) -> Schedule:
         """The schedule whose steps, numbered from 1, hold the given
-        (initiator, responder) pairs in the order given."""
-        return cls(
-            topology,
-            tuple(
-                SbepStep(i, tuple(starmap(PairExchange, pairs)))
-                for i, pairs in enumerate(steps, 1)
-            ),
-        )
+        (initiator, responder) pairs in the order given, as plain tuples.
+        Raises ValueError for a pair that is not two hosts, or is a self-pair."""
+        built = tuple(tuple(map(tuple, pairs)) for pairs in steps)
+        for a, b in chain.from_iterable(built):
+            if a == b:
+                raise ValueError(f"host {a} cannot exchange with itself")
+        return cls(topology, tuple(map(SbepStep, count(1), built)))
 
-    def all_exchanges(self) -> list[PairExchange]:
+    def all_exchanges(self) -> list[tuple[int, int]]:
         return [e for step in self.steps for e in step.exchanges]
 
 
@@ -105,9 +81,16 @@ class ValidationReport:
     violations: tuple[Violation, ...] = field(default=())
 
 
+# A report lists at most this many missing pairs, then how many more there are.
+MISSING_PAIR_LINES = 100
+
+
 def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
     hosts = list(chain.from_iterable(step.exchanges))
-    if len(set(hosts)) == len(hosts) and all(map(t.hosts().__contains__, hosts)):
+    distinct = set(hosts)
+    if len(distinct) == len(hosts) and (
+        not hosts or (min(distinct) >= 1 and max(distinct) <= t.n_hosts)
+    ):
         return []
     out = []
     load = Counter(hosts)
@@ -130,17 +113,16 @@ def _step_interval_violations(step: SbepStep, t: NetworkTopology) -> list[Violat
     # Chain exclusivity: spans may touch at endpoints but not overlap inside.
     out = []
     exchanges = sorted(step.exchanges)
-    for i, e in enumerate(exchanges):
-        lo1, hi1 = e.span
-        for f in exchanges[i + 1 :]:
-            lo2, hi2 = f.span
+    spans = [(a, b) if a < b else (b, a) for a, b in exchanges]
+    for i, (lo1, hi1) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            lo2, hi2 = spans[j]
             if not (hi1 <= lo2 or hi2 <= lo1):
                 out.append(
                     Violation(
                         step.index,
                         "lch-overlap",
-                        f"({e.initiator},{e.responder}) overlaps "
-                        f"({f.initiator},{f.responder})",
+                        "(%s,%s) overlaps (%s,%s)" % (*exchanges[i], *exchanges[j]),
                     )
                 )
     return out
@@ -153,7 +135,8 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is
     not its 1-based position gets one ``step-index`` violation. Duplicates
     are reported once per occurrence beyond the first, with the offending
-    step index.
+    step index. Missing pairs are listed in pair order, at most
+    MISSING_PAIR_LINES of them, then one "<count> more pairs missing".
     """
     t = s.topology
     violations: list[Violation] = []
@@ -168,8 +151,8 @@ def validate_schedule(s: Schedule) -> ValidationReport:
 
     seen: dict[tuple[int, int], int] = {}
     for step in s.steps:
-        for e in step.exchanges:
-            p = e.span
+        for a, b in step.exchanges:
+            p = (a, b) if a < b else (b, a)
             if p in seen:
                 violations.append(
                     Violation(
@@ -180,9 +163,20 @@ def validate_schedule(s: Schedule) -> ValidationReport:
                 )
             else:
                 seen[p] = step.index
-    for a, b in t.pairs():
-        if (a, b) not in seen:
-            violations.append(Violation(None, "missing-pair", f"({a},{b})"))
+    # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
+    # n(n-1)/2 distinct pairs are all the pairs.
+    n, hosts = t.n_hosts, t.hosts()
+    total = n * (n - 1) // 2
+    if violations or len(seen) != total or not seen.keys().isdisjoint(zip(hosts, hosts)):
+        # The walk stops one pair past the cap: at most cap + len(seen) pairs.
+        unseen = filterfalse(seen.__contains__, t.pairs())
+        missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
+        for p in missing[:MISSING_PAIR_LINES]:
+            violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
+        if len(missing) > MISSING_PAIR_LINES:
+            present = sum(1 <= lo < hi <= n for lo, hi in seen)
+            more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
+            violations.append(Violation(None, "missing-pair", more))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -193,14 +187,14 @@ def host_states(step: SbepStep, n: int) -> dict[int, HostState]:
     the initiator/utilized/inactive model assumes one exchanger per host.
     """
     states: dict[int, HostState] = {}
-    for e in step.exchanges:
-        for h in (e.initiator, e.responder):
+    for a, b in step.exchanges:
+        for h in (a, b):
             if h in states:
                 raise AmbiguousStepError(
                     f"host {h} appears in more than one exchange of step {step.index}"
                 )
-        states[e.initiator] = HostState(HostRole.INITIATOR, e.responder)
-        states[e.responder] = HostState(HostRole.UTILIZED, e.initiator)
+        states[a] = HostState(HostRole.INITIATOR, b)
+        states[b] = HostState(HostRole.UTILIZED, a)
     for h in range(1, n + 1):
         states.setdefault(h, HostState(HostRole.INACTIVE))
     return dict(sorted(states.items()))
@@ -209,6 +203,7 @@ def host_states(step: SbepStep, n: int) -> dict[int, HostState]:
 def pair_coverage(s: Schedule) -> dict[tuple[int, int], int]:
     """How many times each (low, high) host pair appears in the schedule."""
     counts = dict.fromkeys(s.topology.pairs(), 0)
-    for e in s.all_exchanges():
-        counts[e.span] = counts.get(e.span, 0) + 1
+    for a, b in s.all_exchanges():
+        p = (a, b) if a < b else (b, a)
+        counts[p] = counts.get(p, 0) + 1
     return counts

@@ -22,7 +22,7 @@ import re
 from itertools import chain
 
 from .errors import ScheduleFormatError
-from .schedule import PairExchange, SbepStep, Schedule
+from .schedule import SbepStep, Schedule
 from .topology import TopologyKind, build_topology, NetworkTopology
 
 _STEP_RE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
@@ -32,7 +32,7 @@ _JSON_PAIR = "[\n        %s,\n        %s\n      ]"
 
 
 def step_to_line(step: SbepStep) -> str:
-    pairs = " ".join(f"({e.initiator},{e.responder})" for e in step.exchanges)
+    pairs = " ".join(map("(%s,%s)".__mod__, step.exchanges))
     return f"step {step.index}: {pairs}".rstrip()
 
 
@@ -51,9 +51,14 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
             raise ScheduleFormatError(f"malformed schedule line: {line!r}")
         try:
             index, *ids = map(int, _ID_RE.findall(line))
-            exchanges = tuple(map(PairExchange, ids[0::2], ids[1::2]))
         except ValueError as exc:
             raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
+        exchanges = tuple(zip(ids[0::2], ids[1::2]))
+        for a, b in exchanges:
+            if a == b:
+                raise ScheduleFormatError(
+                    f"host {a} cannot exchange with itself in line {line!r}"
+                )
         steps.append(SbepStep(index, exchanges))
     return Schedule(topology=topology, steps=tuple(steps))
 

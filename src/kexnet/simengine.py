@@ -73,8 +73,8 @@ def run(config: SimConfig) -> SimReport:
             if not times:
                 continue
             active_hosts: set[int] = set()
-            for e in step.exchanges:
-                p = e.span
+            for a, b in step.exchanges:
+                p = (a, b) if a < b else (b, a)
                 if p in ok:
                     bits[p] += times
                     active_hosts.update(p)

@@ -100,6 +100,19 @@ def test_validate_step_index(tmp_path, capsys):
     )
 
 
+def test_validate_empty_star600_capped(tmp_path, capsys):
+    # 179,700 pairs are missing: the first 100 in pair order, then the count.
+    path = tmp_path / "empty.json"
+    path.write_text('{"topology": {"kind": "star", "n_hosts": 600}, "steps": []}')
+    code, out, err = run_cli(capsys, "validate", "--in", str(path))
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert lines[0] == "invalid" and len(lines) == 102
+    assert all(line.startswith("step -: missing-pair: ") for line in lines[1:])
+    assert lines[1:101] == [f"step -: missing-pair: (1,{b})" for b in range(2, 102)]
+    assert lines[101] == "step -: missing-pair: 179600 more pairs missing"
+
+
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
 
 

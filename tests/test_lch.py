@@ -12,7 +12,7 @@ from kexnet.cli import main
 from kexnet.errors import InvalidSizeError
 from kexnet.oracle import chain_cut_lower_bound, min_steps_bruteforce
 from kexnet.protocols import generate_lch
-from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
+from kexnet.schedule import SbepStep, Schedule, validate_schedule
 from kexnet.serialize import schedule_to_text
 from kexnet.topology import TopologyKind, build_topology
 
@@ -37,7 +37,7 @@ def _reference_lch(n: int) -> Schedule:
             if all(hi <= a or lo >= b for a, b in packed):
                 packed.append((lo, hi))
         remaining = [p for p in remaining if p not in packed]
-        exchanges = tuple(PairExchange(a, b) for a, b in sorted(packed))
+        exchanges = tuple(sorted(packed))
         steps.append(SbepStep(len(steps) + 1, exchanges))
     return Schedule(topo, tuple(steps))
 
@@ -94,7 +94,7 @@ def test_schedule_meets_cut_bound(n):
     assert len(schedule.steps) == chain_cut_lower_bound(n) == n * n // 4
     crossings = [0] * n
     for e in schedule.all_exchanges():
-        lo, hi = e.span
+        lo, hi = sorted(e)
         for seg in range(lo, hi):
             crossings[seg] += 1
     assert crossings[1:] == [k * (n - k) for k in range(1, n)]

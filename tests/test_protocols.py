@@ -18,7 +18,7 @@ from kexnet.protocols import (
     raw_distance_steps,
     sbep_formula,
 )
-from kexnet.schedule import PairExchange, SbepStep, Schedule, validate_schedule
+from kexnet.schedule import SbepStep, Schedule, validate_schedule
 from kexnet.serialize import schedule_to_text
 from kexnet.topology import TopologyKind, build_topology
 
@@ -48,10 +48,7 @@ def test_formula_odd_even_parity(n):
 
 
 def test_star_reproduces_worked_example():
-    steps = [
-        [(e.initiator, e.responder) for e in step.exchanges]
-        for step in generate_star(5).steps
-    ]
+    steps = [list(step.exchanges) for step in generate_star(5).steps]
     assert steps == [
         [(1, 2), (3, 4)],
         [(2, 3), (4, 5)],
@@ -65,7 +62,7 @@ def test_star_reproduces_worked_example():
 def test_star_smallest():
     s = generate_star(2)
     assert len(s.steps) == 1
-    assert [(e.initiator, e.responder) for e in s.steps[0].exchanges] == [(1, 2)]
+    assert list(s.steps[0].exchanges) == [(1, 2)]
 
 
 def circ_distance(n, a, b):
@@ -78,10 +75,10 @@ def test_star_7_has_one_merged_residual():
     mixed = [
         step
         for step in s.steps
-        if len({circ_distance(7, e.initiator, e.responder) for e in step.exchanges}) > 1
+        if len({circ_distance(7, a, b) for a, b in step.exchanges}) > 1
     ]
     assert len(mixed) == 1
-    assert len({circ_distance(7, e.initiator, e.responder) for e in mixed[0].exchanges}) == 2
+    assert len({circ_distance(7, a, b) for a, b in mixed[0].exchanges}) == 2
 
 
 def test_star_12():
@@ -99,7 +96,7 @@ def test_star_valid_and_counted(n):
 
 def test_fcn_full():
     s = generate_fcn_full(3)
-    assert [(e.initiator, e.responder) for e in s.steps[0].exchanges] == [
+    assert list(s.steps[0].exchanges) == [
         (1, 2), (1, 3), (2, 3)
     ]
     s6 = generate_fcn_full(6)
@@ -197,8 +194,8 @@ def _reference_cycles(n: int, d: int) -> list[list[int]]:
     return out
 
 
-def _reference_cycle_edges(cycle: list[int], n: int, d: int) -> list[PairExchange]:
-    return [PairExchange(v, (v - 1 + d) % n + 1) for v in cycle]
+def _reference_cycle_edges(cycle: list[int], n: int, d: int) -> list[tuple[int, int]]:
+    return [(v, (v - 1 + d) % n + 1) for v in cycle]
 
 
 def _reference_choose_disjoint_residuals(n, distances):
@@ -222,13 +219,13 @@ def _reference_choose_disjoint_residuals(n, distances):
             return True
         d, ci, ordered = slots[i]
         for e in ordered:
-            if e.initiator in used or e.responder in used:
+            if e[0] in used or e[1] in used:
                 continue
             chosen[(d, ci)] = e
-            used.update((e.initiator, e.responder))
+            used.update(e)
             if backtrack(i + 1):
                 return True
-            used.difference_update((e.initiator, e.responder))
+            used.difference_update(e)
             del chosen[(d, ci)]
         return False
 
@@ -255,10 +252,10 @@ def _reference_decompose_distance(n, d, residuals):
 
 def _reference_star(n: int) -> Schedule:
     """The original star generator: every distance's cycles built twice and
-    every step sorted as PairExchange dataclasses."""
+    every step sorted as (initiator, responder) pairs."""
     topo = build_topology(TopologyKind.STAR, n)
     if n == 2:
-        return Schedule(topo, (SbepStep(1, (PairExchange(1, 2),)),))
+        return Schedule(topo, (SbepStep(1, ((1, 2),)),))
 
     raw = dict(raw_distance_steps(n))
     budget = merge_budget(n)
@@ -274,7 +271,7 @@ def _reference_star(n: int) -> Schedule:
         merged_into[hi] = lo
         i -= 2
 
-    residual_edges: dict[int, dict[int, PairExchange]] = {}
+    residual_edges: dict[int, dict[int, tuple[int, int]]] = {}
     for d in residual_distances:
         if d in merged_into:
             continue
@@ -285,12 +282,12 @@ def _reference_star(n: int) -> Schedule:
         for (dd, ci), e in chosen.items():
             residual_edges.setdefault(dd, {})[ci] = e
 
-    steps: list[tuple[PairExchange, ...]] = []
+    steps: list[tuple[tuple[int, int], ...]] = []
     residual_slot: dict[int, int] = {}
     for d in range(1, n // 2 + 1):
         count = raw[d]
         if count == 1:
-            half = sorted(PairExchange(i, i + n // 2) for i in range(1, n // 2 + 1))
+            half = sorted((i, i + n // 2) for i in range(1, n // 2 + 1))
             steps.append(tuple(half))
             continue
         holdout = residual_edges.get(d) if count == 3 else None

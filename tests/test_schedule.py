@@ -1,14 +1,15 @@
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kexnet.errors import AmbiguousStepError
+from kexnet.errors import AmbiguousStepError, ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
+    MISSING_PAIR_LINES,
     HostRole,
     HostState,
-    PairExchange,
     SbepStep,
     Schedule,
     ValidationReport,
@@ -18,6 +19,12 @@ from kexnet.schedule import (
     pair_coverage,
     validate_schedule,
 )
+from kexnet.serialize import (
+    json_to_schedule,
+    schedule_to_json,
+    schedule_to_text,
+    text_to_schedule,
+)
 from kexnet.topology import TopologyKind, build_topology
 
 
@@ -26,7 +33,7 @@ def make_schedule(kind, n, steps):
     return Schedule(
         topo,
         tuple(
-            SbepStep(i + 1, tuple(PairExchange(a, b) for a, b in step))
+            SbepStep(i + 1, tuple((a, b) for a, b in step))
             for i, step in enumerate(steps)
         ),
     )
@@ -70,16 +77,16 @@ def test_lch_interval_overlap():
 
 
 def test_self_exchange_rejected():
-    with pytest.raises(ValueError):
-        PairExchange(2, 2)
-    with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
-        PairExchange(initiator=3, responder=3)
+    topo = build_topology(TopologyKind.STAR, 4)
     with pytest.raises(ValueError, match="itself"):
-        Schedule.from_pairs(build_topology(TopologyKind.STAR, 4), [[(1, 2)], [(4, 4)]])
-    with pytest.raises(ValueError, match="host 1 cannot exchange with itself"):
-        PairExchange(1, 2)._replace(responder=1)
+        Schedule.from_pairs(topo, [[(1, 2)], [(4, 4)]])
     with pytest.raises(ValueError, match="host 3 cannot exchange with itself"):
-        PairExchange._make((3, 3))
+        Schedule.from_pairs(topo, [[[1, 2], [3, 3]]])
+    with pytest.raises(ScheduleFormatError, match="host 2 cannot exchange with itself"):
+        text_to_schedule("step 1: (1,2)\nstep 2: (3,4) (2,2)\n", topo)
+    doc = {"topology": {"kind": "star", "n_hosts": 4}, "steps": [[[1, 2]], [[3, 3]]]}
+    with pytest.raises(ScheduleFormatError, match="host 3 cannot exchange with itself"):
+        json_to_schedule(json.dumps(doc))
 
 
 def test_host_states_table_rows():
@@ -102,7 +109,7 @@ def test_host_states_empty_step():
 
 
 def test_host_states_ambiguous():
-    step = SbepStep(1, (PairExchange(1, 2), PairExchange(2, 3)))
+    step = SbepStep(1, ((1, 2), (2, 3)))
     with pytest.raises(AmbiguousStepError):
         host_states(step, 3)
 
@@ -140,7 +147,7 @@ def test_capacity1_steps_are_matchings(n):
     for s in (generate_schedule(TopologyKind.STAR, n),
               generate_schedule(TopologyKind.FCN_SINGLE, n)):
         for step in s.steps:
-            hosts = [h for e in step.exchanges for h in (e.initiator, e.responder)]
+            hosts = [h for e in step.exchanges for h in e]
             assert len(hosts) == len(set(hosts)) == 2 * len(step.exchanges)
 
 
@@ -168,7 +175,7 @@ def test_coverage_sums(kind, n):
 
 def _reference_capacity_violations(step, t):
     out = []
-    load = Counter(h for e in step.exchanges for h in (e.initiator, e.responder))
+    load = Counter(h for e in step.exchanges for h in e)
     for host in sorted(load):
         if host < 1 or host > t.n_hosts:
             out.append(Violation(step.index, "unknown-host", f"host {host}"))
@@ -198,8 +205,8 @@ def _reference_validate(s):
 
     seen = {}
     for step in s.steps:
-        for e in step.exchanges:
-            p = e.span
+        for a, b in step.exchanges:
+            p = (min(a, b), max(a, b))
             if p in seen:
                 violations.append(
                     Violation(
@@ -216,7 +223,9 @@ def _reference_validate(s):
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-CORRUPTIONS = ("drop", "duplicate", "host-0", "host-n+1", "overload", "misnumber")
+CORRUPTIONS = (
+    "drop", "duplicate", "replace", "host-0", "host-n+1", "overload", "misnumber"
+)
 
 
 def _corrupt(s, how, data):
@@ -234,14 +243,19 @@ def _corrupt(s, how, data):
             exchanges.insert(at, data.draw(st.sampled_from(pool)))
     elif exchanges:
         k = data.draw(st.integers(0, len(exchanges) - 1))
-        a = exchanges[k].initiator
+        a = exchanges[k][0]
         if how == "drop":
             del exchanges[k]
         elif how == "overload":
             c = data.draw(st.integers(1, n).filter(lambda h: h != a))
-            exchanges.append(PairExchange(a, c))
+            exchanges.append((a, c))
+        elif how == "replace":
+            # Same count of exchanges: one pair goes missing, one repeats.
+            pool = [e for _, es in steps for e in es if e != exchanges[k]]
+            if pool:
+                exchanges[k] = data.draw(st.sampled_from(pool))
         else:
-            exchanges[k] = PairExchange(a, 0 if how == "host-0" else n + 1)
+            exchanges[k] = (a, 0 if how == "host-0" else n + 1)
     return Schedule(s.topology, tuple(SbepStep(i, tuple(es)) for i, es in steps))
 
 
@@ -259,27 +273,93 @@ def test_validator_matches_reference(kind, n, hows, data):
     assert validate_schedule(s) == _reference_validate(s)
 
 
+def test_validator_self_pair_not_counted():
+    # Built directly, a self-pair passes capacity 2 and makes n(n-1)/2
+    # distinct pairs with one real pair missing.
+    for kind, steps in [
+        (TopologyKind.FCN_FULL, [[(1, 2), (1, 3)], [(2, 2)]]),
+        (TopologyKind.LCH, [[(1, 2)], [(1, 3)], [(3, 3)]]),
+    ]:
+        s = make_schedule(kind, 3, steps)
+        report = validate_schedule(s)
+        assert report == _reference_validate(s)
+        assert report.violations == (Violation(None, "missing-pair", "(2,3)"),)
+
+
+def _capped(report):
+    """The reference report with its missing pairs cut to the report's cap."""
+    missing = [v for v in report.violations if v.kind == "missing-pair"]
+    rest = report.violations[: len(report.violations) - len(missing)]
+    more = len(missing) - MISSING_PAIR_LINES
+    if more > 0:
+        summary = Violation(None, "missing-pair", f"{more} more pairs missing")
+        missing = missing[:MISSING_PAIR_LINES] + [summary]
+    return ValidationReport(report.ok, rest + tuple(missing))
+
+
+def test_missing_pairs_capped():
+    five = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]
+    cases = [
+        (TopologyKind.FCN_SINGLE, 16, [[(1, 2)], [(3, 4)]]),  # 118 missing
+        (TopologyKind.FCN_FULL, 15, [five]),  # exactly 100 missing: no summary
+        (TopologyKind.FCN_FULL, 15, [five[:4]]),  # 101 missing: "1 more"
+        # Pairs off the topology and a self-pair count for none of its pairs.
+        (TopologyKind.FCN_FULL, 20, [[(1, 2), (1, 0), (3, 21), (4, 4)], [(2, 1)]]),
+        (TopologyKind.LCH, 30, [[(2, 1)], [(7, 7)], [(31, 2)]]),
+    ]
+    for kind, n, steps in cases:
+        s = make_schedule(kind, n, steps)
+        assert validate_schedule(s) == _capped(_reference_validate(s)), (kind, n)
+    assert _capped(_reference_validate(make_schedule(*cases[0]))).violations[-1] == (
+        Violation(None, "missing-pair", "18 more pairs missing")
+    )
+
+
+def test_missing_pairs_walk_bounded():
+    # 5 * 10**9 pairs, none present: only the first 101 are visited.
+    report = validate_schedule(make_schedule(TopologyKind.STAR, 10**5, []))
+    assert len(report.violations) == 101
+    assert report.violations[99] == Violation(None, "missing-pair", "(1,101)")
+    more = 10**5 * (10**5 - 1) // 2 - 100
+    assert report.violations[100].detail == f"{more} more pairs missing"
+
+
 # --- the data model's contract ------------------------------------------------
 
 
 def test_pair_fields_and_keywords():
-    assert PairExchange._fields == ("initiator", "responder")
     assert SbepStep._fields == ("index", "exchanges")
-    e = PairExchange(responder=2, initiator=5)
-    assert (e.initiator, e.responder) == (5, 2) == PairExchange(5, 2)
-    assert e.span == (2, 5) and PairExchange(2, 5).span == (2, 5)
+    topo = build_topology(TopologyKind.STAR, 5)
+    s = Schedule.from_pairs(topo, [[[5, 2]], [(2, 5), (1, 3)]])
+    assert s.steps == (SbepStep(1, ((5, 2),)), SbepStep(2, ((2, 5), (1, 3))))
+    assert s.steps[1].index == 2 and s.steps[1].exchanges[0] == (2, 5)
+    for bad in ([1], [1, 2, 3], []):
+        with pytest.raises(ValueError):
+            Schedule.from_pairs(topo, [[(1, 2), bad]])
+
+
+def _assert_plain_pairs(s):
+    for step in s.steps:
+        for e in step.exchanges:
+            assert type(e) is tuple and len(e) == 2
+            assert type(e[0]) is int and type(e[1]) is int
 
 
 def test_pair_is_its_plain_tuple():
-    assert PairExchange(1, 2) == (1, 2)
-    assert hash(PairExchange(1, 2)) == hash((1, 2))
-    assert PairExchange(1, 2) != PairExchange(2, 1)
-    assert {PairExchange(3, 4): "x"}[(3, 4)] == "x"
-    assert SbepStep(1, (PairExchange(1, 2),)) == (1, ((1, 2),))
+    # Generated and parsed exchanges are exact tuples of two ints.
+    for kind in TopologyKind:
+        for n in (2, 5, 16):
+            s = generate_schedule(kind, n)
+            _assert_plain_pairs(s)
+            _assert_plain_pairs(text_to_schedule(schedule_to_text(s), s.topology))
+            _assert_plain_pairs(json_to_schedule(schedule_to_json(s)))
+    assert SbepStep(1, ((1, 2),)) == (1, ((1, 2),))
 
 
 @given(st.lists(st.tuples(st.integers(-5, 50), st.integers(-5, 50))))
 def test_pair_sort_order_is_field_order(pairs):
-    # The dataclass order: initiator first, then responder.
-    exchanges = [PairExchange(a, b) for a, b in pairs if a != b]
-    assert sorted(exchanges) == sorted(exchanges, key=lambda e: (e.initiator, e.responder))
+    # Initiator first, then responder.
+    topo = build_topology(TopologyKind.STAR, 3)
+    s = Schedule.from_pairs(topo, [[(a, b) for a, b in pairs if a != b]])
+    exchanges = list(s.steps[0].exchanges)
+    assert sorted(exchanges) == sorted(exchanges, key=lambda e: (e[0], e[1]))

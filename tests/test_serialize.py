@@ -51,7 +51,7 @@ def _reference_json(s):
     doc = {
         "topology": {"kind": s.topology.kind.value, "n_hosts": s.topology.n_hosts},
         "steps": [
-            [[e.initiator, e.responder] for e in step.exchanges] for step in s.steps
+            [[a, b] for a, b in step.exchanges] for step in s.steps
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
