@@ -2,8 +2,8 @@
 
 One benchmark per row of that table, plus the fcn1 generator and the text
 writer that the star round trip also runs. Each times one layer call in
-process: generators, validator, serializers, simulator, oracle and two CLI
-commands. ``test_star_roundtrip`` times the whole star json round trip at
+process: generators, validator, serializers, simulator, oracle and three
+CLI commands. ``test_star_roundtrip`` times the whole star json round trip at
 n=400 (generate, write, parse, validate) as one number.
 Inputs are built outside the timed call. Run from the repository root:
 
@@ -107,6 +107,11 @@ def test_oracle(benchmark, kind, n):
 
 def test_cli_formula(benchmark):
     assert benchmark(main, ["formula", "--n", "5"]) == 0
+
+
+def test_cli_compare(benchmark):
+    # Generates all four schedules at n=200 to count their steps.
+    assert benchmark(main, ["compare", "--n", "200", "--format", "csv"]) == 0
 
 
 def test_cli_validate_empty_star600(benchmark, tmp_path):

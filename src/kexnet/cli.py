@@ -319,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"kexnet: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KexnetError as exc:
-        print(f"kexnet: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (KexnetError, OSError) as exc:
         print(f"kexnet: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

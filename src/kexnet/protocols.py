@@ -12,7 +12,6 @@ at a time, with no recursion. All generators are deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import chain
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
@@ -196,49 +195,26 @@ def generate_fcn_single(n: int) -> Schedule:
     return Schedule.from_pairs(topo, steps)
 
 
-def _pack_chain_step(lows: list[list[int]], n: int) -> list[tuple[int, int]]:
-    """Pack one chain step, longest span first, then by low end; packed
-    pairs are removed from ``lows``.
-
-    ``lows[span]`` holds the ascending low ends of the waiting pairs of
-    that span, for every span up to the longest one still waiting. Segment
-    k lies between hosts k and k+1. An exchange holds only the segments it
-    crosses, so it splits the run of free segments it lies in into two,
-    and no pair fits in both: what one run takes never changes what fits
-    in the other. So each run takes the longest waiting span that fits
-    inside it, at its lowest low end, and the two runs left beside that
-    exchange are packed the same way; this is the step-wide greedy, run by
-    run.
-    """
-    packed, runs = [], [(1, n - 1)]
-    while runs:
-        a, b = runs.pop()
-        for span in range(min(b - a + 1, len(lows) - 1), 0, -1):
-            los = lows[span]
-            i = bisect_left(los, a)
-            if i < len(los) and los[i] + span - 1 <= b:
-                lo = los.pop(i)
-                packed.append((lo, lo + span))
-                runs += [(a, lo - 1), (lo + span, b)]
-                break
-    return packed
-
-
 def generate_lch(n: int) -> Schedule:
-    """Chain schedule by greedy longest-span-first packing.
+    """Chain schedule in n*n // 4 steps, built level by level.
 
-    Each step packs remaining pairs, longest wire span first, subject to
-    interior-disjoint intervals. The result has n*n // 4 steps, which is
-    the cut lower bound (``oracle.chain_cut_lower_bound``), so it is optimal.
+    Level a, for a = 1..n//2, is the interval [a, b] with b = n+1-a. It
+    gives the step (a, b) and, for each host c with a < c < b, the step
+    (a, c), (c, b); both fill the level's segments end to end. Every pair
+    lies in exactly one level, a = min(lo, n+1-hi), and level a holds
+    n+1-2a steps. The steps are ordered by their longest exchange: longer
+    span first, then lower low end. This is the schedule of the greedy
+    that packs each step longest span first, then lowest low end, into
+    interior-disjoint intervals. Its n*n // 4 steps meet the cut lower
+    bound (``oracle.chain_cut_lower_bound``), so it is optimal.
     """
     topo = build_topology(TopologyKind.LCH, n)
-    # No pair has span 0, so trimming empty tails leaves no list at the end.
-    lows = [[]] + [list(range(1, n - span + 1)) for span in range(1, n)]
     steps = []
-    while lows:
-        steps.append(sorted(_pack_chain_step(lows, n)))
-        while lows and not lows[-1]:
-            lows.pop()
+    for a in range(1, n // 2 + 1):
+        b = n + 1 - a
+        steps.append([(a, b)])
+        steps += [[(a, c), (c, b)] for c in range(a + 1, b)]
+    steps.sort(key=lambda pairs: min((lo - hi, lo) for lo, hi in pairs))
     return Schedule.from_pairs(topo, steps)
 
 

@@ -85,18 +85,23 @@ class ValidationReport:
 MISSING_PAIR_LINES = 100
 
 
-def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
+def _host_order(host) -> tuple:
+    # Int hosts in numeric order, then any other value by its repr.
+    return (0, host) if isinstance(host, int) else (1, repr(host))
+
+
+def _step_capacity_violations(
+    step: SbepStep, t: NetworkTopology, known: set[int]
+) -> list[Violation]:
     hosts = list(chain.from_iterable(step.exchanges))
     distinct = set(hosts)
-    if len(distinct) == len(hosts) and (
-        not hosts or (min(distinct) >= 1 and max(distinct) <= t.n_hosts)
-    ):
+    if len(distinct) == len(hosts) and distinct <= known:
         return []
     out = []
     load = Counter(hosts)
-    for host in sorted(load):
-        if host < 1 or host > t.n_hosts:
-            out.append(Violation(step.index, "unknown-host", f"host {host}"))
+    for host in sorted(load, key=_host_order):
+        if host not in known:
+            out.append(Violation(step.index, "unknown-host", f"host {host!r}"))
         elif load[host] > t.exchangers_per_host:
             out.append(
                 Violation(
@@ -129,28 +134,40 @@ def _step_interval_violations(step: SbepStep, t: NetworkTopology) -> list[Violat
 
 
 def validate_schedule(s: Schedule) -> ValidationReport:
-    """Check completeness and per-step feasibility; never raises.
+    """Check completeness and per-step feasibility; never raises for
+    hashable host values.
 
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is
-    not its 1-based position gets one ``step-index`` violation. Duplicates
+    not its 1-based position gets one ``step-index`` violation. A host
+    that is not one of 1..n is an ``unknown-host``; an exchange holding a
+    host that is not an int takes no part in the other checks. Duplicates
     are reported once per occurrence beyond the first, with the offending
     step index. Missing pairs are listed in pair order, at most
     MISSING_PAIR_LINES of them, then one "<count> more pairs missing".
     """
     t = s.topology
+    known = set(t.hosts())
     violations: list[Violation] = []
+    steps = []
     for position, step in enumerate(s.steps, 1):
         if step.index != position:
             violations.append(
                 Violation(step.index, "step-index", f"expected index {position}")
             )
-        violations.extend(_step_capacity_violations(step, t))
+        found = _step_capacity_violations(step, t, known)
+        if found:
+            # A host that is not an int is reported above and cannot be
+            # ordered against the others: its exchanges take no further part.
+            ints = [e for e in step.exchanges if all(isinstance(h, int) for h in e)]
+            step = step._replace(exchanges=tuple(ints))
+            violations.extend(found)
         if t.kind is TopologyKind.LCH:
             violations.extend(_step_interval_violations(step, t))
+        steps.append(step)
 
     seen: dict[tuple[int, int], int] = {}
-    for step in s.steps:
+    for step in steps:
         for a, b in step.exchanges:
             p = (a, b) if a < b else (b, a)
             if p in seen:

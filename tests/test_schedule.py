@@ -286,6 +286,41 @@ def test_validator_self_pair_not_counted():
         assert report.violations == (Violation(None, "missing-pair", "(2,3)"),)
 
 
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_non_int_host_is_unknown(kind):
+    # Through from_pairs or built directly, a host that is not an int is an
+    # unknown-host, and its exchanges take no part in the pair checks.
+    steps = [[(1, 2)], [(1, "3")], [(1, 3)], [(2, 3.5)], [(2, 3)], [(None, 1)]]
+    expected = (
+        Violation(2, "unknown-host", "host '3'"),
+        Violation(4, "unknown-host", "host 3.5"),
+        Violation(6, "unknown-host", "host None"),
+    )
+    all_str = [[("1", "2")], [("1", "3")], [("2", "3")]]
+    t = build_topology(kind, 3)
+    for build in (Schedule.from_pairs, lambda t, s: make_schedule(t.kind, 3, s)):
+        assert validate_schedule(build(t, steps)).violations == expected
+        report = validate_schedule(build(t, all_str))
+        assert [v.kind for v in report.violations] == ["unknown-host"] * 6 + [
+            "missing-pair"
+        ] * 3
+
+
+def test_non_int_host_beside_other_violations():
+    # Int hosts keep their numeric order; other values follow, by repr.
+    s = Schedule.from_pairs(
+        build_topology(TopologyKind.LCH, 3), [[(1, 2), (2, "x"), ("x", 3), (0, 2)]]
+    )
+    assert validate_schedule(s).violations == (
+        Violation(1, "unknown-host", "host 0"),
+        Violation(1, "capacity", "host 2 in 3 exchanges, capacity 2"),
+        Violation(1, "unknown-host", "host 'x'"),
+        Violation(1, "lch-overlap", "(0,2) overlaps (1,2)"),
+        Violation(None, "missing-pair", "(1,3)"),
+        Violation(None, "missing-pair", "(2,3)"),
+    )
+
+
 def _capped(report):
     """The reference report with its missing pairs cut to the report's cap."""
     missing = [v for v in report.violations if v.kind == "missing-pair"]
