@@ -5,11 +5,16 @@ stdout with ``tests/golden/cli_<case>.<ext>``, so a refactor of the
 renderers or of the data model cannot change what users see.
 """
 
+import contextlib
+import hashlib
+import io
 import pathlib
 
 import pytest
 
 from kexnet.cli import main
+from kexnet.protocols import generate_schedule
+from kexnet.topology import TopologyKind
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -77,3 +82,61 @@ def test_validate_invalid_report_matches_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert out == (GOLDEN / "cli_validate_invalid.txt").read_text()
+
+
+# simulate at the largest size of each kind in the benchmark's failure
+# workload, with k in {1, 7, 256} and the first 0-3 of the kind's failures.
+# Failure j of 3 takes effect at j/4 of the horizon; the chain's last two
+# failures take both slots of host 5 at the same time.
+SIM_LARGEST = {"star": 150, "fcn1": 80, "fcn-full": 50, "lch": 24}
+SIM_FAILURES = {
+    "star": ["cable:17", "ke:88", "center"],
+    "fcn1": ["cable:3-70", "ke:41", "cable:80-1"],
+    "fcn-full": ["ke:7:12", "cable:10-20", "ke:50:49"],
+    "lch": ["cable:12", "ke:5:2", "ke:5:1"],
+}
+
+
+def simulate_digest_cases():
+    for topology, n in SIM_LARGEST.items():
+        period = len(generate_schedule(TopologyKind(topology), n).steps)
+        for k in (1, 7, 256):
+            quarters = [max(1, k * period * j // 4) for j in (1, 2, 3)]
+            if topology == "lch":
+                quarters[2] = quarters[1]
+            for m in range(4):
+                fail = [
+                    arg
+                    for spec, at in zip(SIM_FAILURES[topology][:m], quarters)
+                    for arg in ("--fail", f"{spec}@{at}")
+                ]
+                for fmt in sorted(FORMATS):
+                    yield [
+                        "simulate", "--topology", topology, "--n", str(n),
+                        "--k", str(k), *fail, "--format", fmt,
+                    ]
+
+
+def stdout_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# One line per command: the sha256 of its stdout, then its arguments.
+SIM_DIGESTS = [
+    line.split(" ", 1)
+    for line in (GOLDEN / "simulate_sha256.txt").read_text().splitlines()
+]
+
+
+def test_simulate_digest_cases_are_frozen():
+    assert [argv for _, argv in SIM_DIGESTS] == [
+        " ".join(argv) for argv in simulate_digest_cases()
+    ]
+
+
+@pytest.mark.parametrize("digest,argv", SIM_DIGESTS, ids=[a for _, a in SIM_DIGESTS])
+def test_simulate_matches_frozen_digest(digest, argv):
+    assert stdout_digest(argv.split()) == (0, digest)
