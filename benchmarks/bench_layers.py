@@ -2,8 +2,8 @@
 
 One benchmark per row of that table, plus the fcn1 generator and the text
 writer that the star round trip also runs. Each times one layer call in
-process: generators, validator, serializers, simulator, oracle and three
-CLI commands. ``test_star_roundtrip`` times the whole star json round trip at
+process: generators, validator, serializers, capable pairs, simulator,
+oracle and four CLI commands. ``test_star_roundtrip`` times the whole star json round trip at
 n=400 (generate, write, parse, validate) as one number.
 Inputs are built outside the timed call. Run from the repository root:
 
@@ -14,12 +14,14 @@ Inputs are built outside the timed call. Run from the repository root:
 The file name does not match ``test_*.py``, so the test suite skips it.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from kexnet import oracle, protocols, serialize, simengine
-from kexnet.analysis import CableFailure
+from kexnet.analysis import CableFailure, capable_pairs
 from kexnet.cli import main
 from kexnet.schedule import Schedule, validate_schedule
 from kexnet.topology import TopologyKind, build_topology
@@ -94,6 +96,37 @@ def test_generate_lch(benchmark, n):
 def test_simengine_run(benchmark, n, k, failures):
     config = simengine.SimConfig(build_topology(STAR, n), key_bits=k, failures=failures)
     benchmark(simengine.run, config)
+
+
+@pytest.mark.parametrize(
+    "kind,n,cuts,capable",
+    [(STAR, 150, [3], 149 * 148 // 2), (TopologyKind.LCH, 24, [8, 16], 3 * 28)],
+    ids=["star150-cable", "lch24-two-cuts"],
+)
+def test_capable_pairs(benchmark, kind, n, cuts, capable):
+    topo = build_topology(kind, n)
+    ok, _ = benchmark(capable_pairs, topo, [CableFailure(c) for c in cuts])
+    assert len(ok) == capable
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# The largest star of the simulator workload, as the CLI prints it.
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cli_simulate(benchmark, fmt):
+    argv = ["simulate", "--topology", "star", "--n", "150", "--k", "64",
+            "--fail", "cable:3@40", "--fail", "ke:7@900", "--format", fmt]
+    code, out = benchmark(_stdout, argv)
+    if fmt == "json":
+        pairs = len(json.loads(out)["bits_per_pair"])
+    else:
+        pairs = sum(line[:1].isdigit() for line in out.splitlines())
+    assert (code, pairs) == (0, 150 * 149 // 2)
 
 
 # star n=9 and chain n=14 are the rows the recursive oracle could not finish.

@@ -9,9 +9,9 @@ Timing of failures mid-run is handled by the simulation engine.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from .errors import DegenerateFitError, InvalidScenarioError
 from .protocols import generate_schedule, sbep_formula
@@ -173,12 +173,16 @@ def capable_pairs(
     dead = lost["host"] | {h for h in slot_hosts if slot_hosts.count(h) == 2}
     if lost["center"]:
         dead = set(t.hosts())
-    # side[h] counts the cut segments left of host h, and a dead host has a
-    # side of its own, so a pair keeps its hosts and crosses no cut exactly
-    # when both ends share a side.
-    cuts = sorted(lost["segment"])
-    side = [-h if h in dead else bisect_left(cuts, h) for h in range(t.n_hosts + 1)]
-    ok = frozenset(p for p in t.pairs() if side[p[0]] == side[p[1]]) - lost["pair"]
+    # The cut segments split the hosts into sides, and a pair keeps its
+    # hosts and crosses no cut exactly when both are live hosts of one side.
+    bounds = [0, *sorted(lost["segment"]), t.n_hosts]
+    sides = (
+        [h for h in range(lo + 1, hi + 1) if h not in dead]
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    ok = frozenset(chain.from_iterable(combinations(g, 2) for g in sides))
+    if lost["pair"]:
+        ok -= lost["pair"]
     return ok, frozenset(set(slot_hosts) - dead)
 
 

@@ -96,19 +96,21 @@ def _write_out(path: str | None, content: str) -> None:
             os.unlink(tmp)
 
 
-def _tabular(fmt: str, records: list[dict], doc=None) -> str:
-    """Render records (dicts keyed by column name) as a table or csv, or
-    as json: ``doc`` if given, else the records themselves."""
+def _tabular(fmt: str, columns: dict[str, list], doc=None) -> str:
+    """Render columns (name -> values) as a table or csv, or as json:
+    ``doc`` if given, else one record per row. No cell ends in a space,
+    so a table pads every column but the last."""
     if fmt == "json":
-        return json.dumps(records if doc is None else doc, indent=2) + "\n"
-    header = list(records[0])
-    rows = [header] + [[str(v) for v in r.values()] for r in records]
+        if doc is None:
+            doc = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        return json.dumps(doc, indent=2) + "\n"
+    cells = [[name, *map(str, values)] for name, values in columns.items()]
     if fmt == "csv":
-        return "".join(",".join(r) + "\n" for r in rows)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    return "".join(
-        "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in rows
-    )
+        line = ",".join(["%s"] * len(cells))
+    else:
+        widths = [max(map(len, column)) for column in cells[:-1]]
+        line = "".join(["%%-%ds  " % w for w in widths]) + "%s"
+    return "".join(map((line + "\n").__mod__, zip(*cells)))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -125,8 +127,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     r = _parse_range(args.range)
     if r.start < 2:
         raise UsageError(f"--range must start at 2 or above, got {args.range}")
-    records = [{"n": n, "sbep": protocols.sbep_formula(n)} for n in r]
-    _write_out(args.out, _tabular(args.format, records))
+    columns = {"n": list(r), "sbep": list(map(protocols.sbep_formula, r))}
+    _write_out(args.out, _tabular(args.format, columns))
     return EXIT_OK
 
 
@@ -167,21 +169,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    records = [
-        {
-            "kind": row.kind.value,
-            "cables": row.costs.cable_count,
-            "exchangers": row.costs.exchanger_count,
-            "center_switches": row.costs.center_switch_count,
-            "steps": row.step_count,
-            "class_cable": row.costs.class_cable.value,
-            "class_ke": row.costs.class_ke.value,
-            "class_time": row.costs.class_time.value,
-            "single_point_of_failure": row.single_point_of_failure,
-        }
-        for row in analysis.compare_networks(args.n)
-    ]
-    _write_out(args.out, _tabular(args.format, records))
+    rows = analysis.compare_networks(args.n)
+    columns = {
+        "kind": [row.kind.value for row in rows],
+        "cables": [row.costs.cable_count for row in rows],
+        "exchangers": [row.costs.exchanger_count for row in rows],
+        "center_switches": [row.costs.center_switch_count for row in rows],
+        "steps": [row.step_count for row in rows],
+        "class_cable": [row.costs.class_cable.value for row in rows],
+        "class_ke": [row.costs.class_ke.value for row in rows],
+        "class_time": [row.costs.class_time.value for row in rows],
+        "single_point_of_failure": [row.single_point_of_failure for row in rows],
+    }
+    _write_out(args.out, _tabular(args.format, columns))
     return EXIT_OK
 
 
@@ -199,22 +199,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     failures = tuple(sorted((_parse_failure(f) for f in args.fail), key=lambda x: x[0]))
     config = simengine.SimConfig(topology=topo, key_bits=args.k, failures=failures)
     report = simengine.run(config)
-    records = [
-        {"pair": f"{a}-{b}", "bits": report.bits_per_pair[a, b]}
-        for a, b in sorted(report.bits_per_pair)
-    ]
+    columns = {
+        "pair": list(map("%d-%d".__mod__, report.bits_per_pair)),
+        "bits": list(report.bits_per_pair.values()),
+    }
     summary = simengine.utilization_profile(report)
     doc = {
         "steps_executed": report.steps_executed,
-        "bits_per_pair": {r["pair"]: r["bits"] for r in records},
-        "lost_pairs": [f"{a}-{b}" for a, b in sorted(report.lost_pairs)],
+        "bits_per_pair": dict(zip(columns["pair"], columns["bits"])),
+        "lost_pairs": list(map("%d-%d".__mod__, sorted(report.lost_pairs))),
         "utilization": {
             "min": summary.minimum,
             "mean": summary.mean,
             "max": summary.maximum,
         },
     }
-    out = _tabular(args.format, records, doc)
+    out = _tabular(args.format, columns, doc)
     if args.format == "table":
         out += (
             f"steps_executed {report.steps_executed}\n"

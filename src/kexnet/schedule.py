@@ -90,11 +90,29 @@ def _host_order(host) -> tuple:
     return (0, host) if isinstance(host, int) else (1, repr(host))
 
 
+class _Unhashable(str):
+    """Stands in for an unhashable host: a str whose repr is the host's."""
+
+    __repr__ = str.__str__
+
+
+def _hashable(host):
+    try:
+        hash(host)
+    except TypeError:
+        return _Unhashable(repr(host))
+    return host
+
+
 def _step_capacity_violations(
     step: SbepStep, t: NetworkTopology, known: set[int]
 ) -> list[Violation]:
     hosts = list(chain.from_iterable(step.exchanges))
-    distinct = set(hosts)
+    try:
+        distinct = set(hosts)
+    except TypeError:  # an unhashable host, reported as unknown below
+        hosts = list(map(_hashable, hosts))
+        distinct = set(hosts)
     if len(distinct) == len(hosts) and distinct <= known:
         return []
     out = []
@@ -134,8 +152,7 @@ def _step_interval_violations(step: SbepStep, t: NetworkTopology) -> list[Violat
 
 
 def validate_schedule(s: Schedule) -> ValidationReport:
-    """Check completeness and per-step feasibility; never raises for
-    hashable host values.
+    """Check completeness and per-step feasibility; never raises.
 
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is

@@ -9,7 +9,9 @@ nothing is rescheduled.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .analysis import FailureScenario, _destroyed, capable_pairs
 from .protocols import generate_schedule
@@ -35,6 +37,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """The outcome of a run; ``bits_per_pair`` holds every pair in pair order."""
+
     steps_executed: int
     bits_per_pair: dict[tuple[int, int], int]
     host_utilization: dict[int, float]
@@ -53,41 +57,60 @@ def run(config: SimConfig) -> SimReport:
 
     An exchange succeeds iff its pair is still exchange-capable given the
     failures active at that step. ``lost_pairs`` are pairs that end below
-    the requested key length.
+    the requested key length. The run walks the schedule once and calls
+    capable_pairs once per distinct failure time, whatever key_bits is.
     """
     topo = config.topology
     schedule = generate_schedule(topo.kind, topo.n_hosts)
-    period = len(schedule.steps)
-    horizon = config.key_bits * period
-    bits = dict.fromkeys(topo.pairs(), 0)
-    active_steps = dict.fromkeys(topo.hosts(), 0)
+    period, k = len(schedule.steps), config.key_bits
+    horizon = k * period
+    bits = dict.fromkeys(topo.pairs(), k)
 
-    # The capable pairs change only when a failure takes effect, so the
-    # run splits into failure-free intervals [start, stop) of step times.
-    bounds = sorted({1, horizon + 1} | {t for t, _ in config.failures if t <= horizon})
-    for start, stop in zip(bounds, bounds[1:]):
-        ok, _ = capable_pairs(topo, [f for t, f in config.failures if t <= start])
-        for s, step in enumerate(schedule.steps, 1):
-            # How many t in [start, stop) have t = s mod period, by ceiling division.
-            times = -((start + (s - start) % period - stop) // period)
-            if not times:
+    # Failures only remove capable pairs, so each pair has a stop time: the
+    # first failure time at which it is no longer capable. gone[t] holds the
+    # pairs that stop at t, and the pairs left in ``capable`` never stop.
+    gone: dict[int, set[tuple[int, int]]] = {}
+    capable = bits.keys()
+    for t in sorted({t for t, _ in config.failures if t <= horizon}):
+        ok, _ = capable_pairs(topo, [f for u, f in config.failures if u <= t])
+        gone[t] = capable - ok
+        capable = ok
+
+    # A pair at step s runs at times s, s + period, ..., so with a stop time
+    # t = q * period + r + 1 (0 <= r < period) it earns q + 1 bits if s <= r,
+    # else q. A host is active at a step as many times as its most-credited
+    # exchange there: k times if one of them never stops, else as often as
+    # the one that stops last, so the stop times are taken latest first.
+    # active[c] lists a host once for each step at which it is active c times.
+    active: defaultdict[int, list[int]] = defaultdict(list)
+    lost: set[tuple[int, int]] = set()
+    for s, step in enumerate(schedule.steps, 1):
+        if not gone:
+            active[k].extend(set(chain.from_iterable(step.exchanges)))
+            continue
+        pairs = {(a, b) if a < b else (b, a) for a, b in step.exchanges}
+        counted = set(chain.from_iterable(capable & pairs))
+        active[k].extend(counted)
+        for t in reversed(gone):
+            stopped = gone[t] & pairs
+            if not stopped:
                 continue
-            active_hosts: set[int] = set()
-            for a, b in step.exchanges:
-                p = (a, b) if a < b else (b, a)
-                if p in ok:
-                    bits[p] += times
-                    active_hosts.update(p)
-            for h in active_hosts:
-                active_steps[h] += times
+            q, r = divmod(t - 1, period)
+            credited = q + (s <= r)
+            bits.update(dict.fromkeys(stopped, credited))
+            if credited < k:
+                lost |= stopped
+            hosts = set(chain.from_iterable(stopped)) - counted
+            active[credited].extend(hosts)
+            counted |= hosts
 
-    utilization = {h: active_steps[h] / horizon for h in topo.hosts()}
-    lost = frozenset(p for p, b in bits.items() if b < config.key_bits)
+    counts = [(c, Counter(hosts)) for c, hosts in active.items()]
+    utilization = {h: sum(c * n[h] for c, n in counts) / horizon for h in topo.hosts()}
     return SimReport(
         steps_executed=horizon,
         bits_per_pair=bits,
         host_utilization=utilization,
-        lost_pairs=lost,
+        lost_pairs=frozenset(lost),
     )
 
 

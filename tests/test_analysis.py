@@ -1,20 +1,27 @@
 import itertools
+from bisect import bisect_left
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kexnet.analysis import (
     CableFailure,
     CenterSwitchFailure,
     KeyExchangerFailure,
     apply_failure,
+    _destroyed,
     apply_failures,
     build_sbep_table,
+    capable_pairs,
     compare_networks,
     fit_linear,
 )
 from kexnet.errors import DegenerateFitError, InvalidScenarioError
 from kexnet.simengine import SimConfig
 from kexnet.topology import TopologyKind, build_topology
+from test_simengine import valid_failures
 
 FIG_SLOPE = 1.3192982456
 FIG_INTERCEPT = -1.301754386
@@ -322,3 +329,34 @@ def test_compare_networks():
     assert rows[TopologyKind.FCN_FULL].step_count == 1
     assert rows[TopologyKind.FCN_FULL].costs.cable_count == 45
     assert rows[TopologyKind.FCN_SINGLE].step_count == 9
+
+
+def _reference_capable_pairs(t, failures):
+    """capable_pairs as a test of every pair: both ends on one side of the
+    cuts, where a dead host is a side of its own."""
+    lost = defaultdict(set)
+    for f in failures:
+        part, which = _destroyed(t, f)
+        lost[part].add(which)
+    slot_hosts = [h for h, _ in lost["slot"]]
+    dead = lost["host"] | {h for h in slot_hosts if slot_hosts.count(h) == 2}
+    if lost["center"]:
+        dead = set(t.hosts())
+    cuts = sorted(lost["segment"])
+    side = [-h if h in dead else bisect_left(cuts, h) for h in range(t.n_hosts + 1)]
+    ok = frozenset(p for p in t.pairs() if side[p[0]] == side[p[1]]) - lost["pair"]
+    return ok, frozenset(set(slot_hosts) - dead)
+
+
+@st.composite
+def failure_sets(draw):
+    t = build_topology(draw(st.sampled_from(list(TopologyKind))), draw(st.integers(2, 30)))
+    scenarios = list(valid_failures(t))
+    return t, draw(st.lists(st.sampled_from(scenarios), max_size=6, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(failure_sets())
+def test_capable_pairs_matches_pair_walk(case):
+    t, failures = case
+    assert capable_pairs(t, failures) == _reference_capable_pairs(t, failures)

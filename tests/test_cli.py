@@ -7,7 +7,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kexnet import analysis, cli, protocols, simengine
 from kexnet.cli import main
+from kexnet.topology import TopologyKind, build_topology
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -402,3 +404,132 @@ def test_env_format_ignored(argv, monkeypatch, capsys):
     monkeypatch.setenv("KEXNET_FORMAT", "xml")
     assert run_cli(capsys, *argv) == expected
     assert expected[0] == 0
+
+
+# --- the column renderer against the records renderer it replaced -------------
+
+
+def _reference_tabular(fmt, records, doc=None):
+    """Render records (dicts keyed by column name) as a table or csv, or
+    as json: ``doc`` if given, else the records themselves."""
+    if fmt == "json":
+        return json.dumps(records if doc is None else doc, indent=2) + "\n"
+    header = list(records[0])
+    rows = [header] + [[str(v) for v in r.values()] for r in records]
+    if fmt == "csv":
+        return "".join(",".join(r) + "\n" for r in rows)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in rows
+    )
+
+
+def _reference_compare(n, fmt):
+    records = [
+        {
+            "kind": row.kind.value,
+            "cables": row.costs.cable_count,
+            "exchangers": row.costs.exchanger_count,
+            "center_switches": row.costs.center_switch_count,
+            "steps": row.step_count,
+            "class_cable": row.costs.class_cable.value,
+            "class_ke": row.costs.class_ke.value,
+            "class_time": row.costs.class_time.value,
+            "single_point_of_failure": row.single_point_of_failure,
+        }
+        for row in analysis.compare_networks(n)
+    ]
+    return _reference_tabular(fmt, records)
+
+
+def _reference_simulate(topology, n, k, specs, fmt):
+    failures = tuple(sorted(map(cli._parse_failure, specs), key=lambda x: x[0]))
+    topo = build_topology(TopologyKind(topology), n)
+    report = simengine.run(simengine.SimConfig(topo, k, failures))
+    records = [
+        {"pair": f"{a}-{b}", "bits": report.bits_per_pair[a, b]}
+        for a, b in sorted(report.bits_per_pair)
+    ]
+    summary = simengine.utilization_profile(report)
+    doc = {
+        "steps_executed": report.steps_executed,
+        "bits_per_pair": {r["pair"]: r["bits"] for r in records},
+        "lost_pairs": [f"{a}-{b}" for a, b in sorted(report.lost_pairs)],
+        "utilization": {
+            "min": summary.minimum,
+            "mean": summary.mean,
+            "max": summary.maximum,
+        },
+    }
+    out = _reference_tabular(fmt, records, doc)
+    if fmt == "table":
+        out += (
+            f"steps_executed {report.steps_executed}\n"
+            f"lost_pairs {len(report.lost_pairs)}\n"
+        )
+    return out
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("r", ["2..2", "2..12", "2..120", "95..105", "9..10"])
+def test_formula_range_matches_reference_renderer(r, fmt, capsys):
+    lo, hi = map(int, r.split(".."))
+    records = [{"n": n, "sbep": protocols.sbep_formula(n)} for n in range(lo, hi + 1)]
+    expected = _reference_tabular(fmt, records)
+    assert run_cli(capsys, "formula", "--range", r, "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+def test_compare_matches_reference_renderer(fmt, capsys):
+    for n in range(2, 61):
+        expected = _reference_compare(n, fmt)
+        assert run_cli(capsys, "compare", "--n", str(n), "--format", fmt) == (
+            0,
+            expected,
+            "",
+        ), n
+
+
+# Bit counts of mixed widths, such as 0 for a pair cut at step 1, 5 for a
+# pair cut after five passes and k = 12 for the rest, and pair names of 3 to
+# 7 characters.
+SIMULATE_RENDER_CASES = [
+    ("fcn1", 12, 12, ["cable:1-2@1", "ke:5@56"]),
+    ("lch", 11, 12, ["cable:9@1", "ke:4:1@153", "ke:4:2@153"]),
+    ("star", 14, 12, ["cable:3@1", "center@96"]),
+    ("fcn-full", 12, 12, ["ke:2:3@1", "cable:10-11@6"]),
+    ("star", 150, 64, ["cable:3@40", "ke:7@900"]),
+]
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("topology,n,k,specs", SIMULATE_RENDER_CASES)
+def test_simulate_matches_reference_renderer(topology, n, k, specs, fmt, capsys):
+    argv = ["simulate", "--topology", topology, "--n", str(n), "--k", str(k)]
+    argv += [arg for spec in specs for arg in ("--fail", spec)]
+    expected = _reference_simulate(topology, n, k, specs, fmt)
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, expected, "")
+
+
+# Cells as the commands make them: ints, and strings that are not empty and
+# do not end in a space.
+cell_text = st.text("ab-_ (),^O1", min_size=1).filter(lambda c: not c.endswith(" "))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(cell_text, min_size=1, max_size=4, unique=True).flatmap(
+        lambda names: st.tuples(
+            st.just(names),
+            st.lists(
+                st.tuples(*[st.integers() | cell_text for _ in names]), min_size=1
+            ),
+        )
+    ),
+    st.sampled_from(cli._FORMATS),
+)
+def test_tabular_matches_reference(table, fmt):
+    names, rows = table
+    records = [dict(zip(names, row)) for row in rows]
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    assert cli._tabular(fmt, columns) == _reference_tabular(fmt, records)

@@ -289,12 +289,17 @@ def test_validator_self_pair_not_counted():
 @pytest.mark.parametrize("kind", list(TopologyKind))
 def test_non_int_host_is_unknown(kind):
     # Through from_pairs or built directly, a host that is not an int is an
-    # unknown-host, and its exchanges take no part in the pair checks.
+    # unknown-host, and its exchanges take no part in the pair checks. So is
+    # an unhashable one, reported once per step like any other.
     steps = [[(1, 2)], [(1, "3")], [(1, 3)], [(2, 3.5)], [(2, 3)], [(None, 1)]]
+    steps += [[([1], 2)], [(3, [2]), ({3: 3}, [2])]]
     expected = (
         Violation(2, "unknown-host", "host '3'"),
         Violation(4, "unknown-host", "host 3.5"),
         Violation(6, "unknown-host", "host None"),
+        Violation(7, "unknown-host", "host [1]"),
+        Violation(8, "unknown-host", "host [2]"),
+        Violation(8, "unknown-host", "host {3: 3}"),
     )
     all_str = [[("1", "2")], [("1", "3")], [("2", "3")]]
     t = build_topology(kind, 3)

@@ -240,3 +240,25 @@ def test_key_bits_past_ssize_t_exact():
         p: 10**19 + 1 if p in first else 10**19 for p in all_pairs(5)
     }
     assert report.lost_pairs == frozenset(all_pairs(5))
+
+
+@pytest.mark.parametrize(
+    "kind,n,failures",
+    [
+        (
+            TopologyKind.STAR,
+            150,
+            ((40, CableFailure(3)), (170, KeyExchangerFailure(88)), (300, CableFailure(17))),
+        ),
+        (
+            TopologyKind.FCN_SINGLE,
+            80,
+            ((1, CableFailure((3, 70))), (79, KeyExchangerFailure(41)), (120, CableFailure((80, 1)))),
+        ),
+    ],
+)
+def test_run_matches_step_loop_at_workload_size(kind, n, failures):
+    config = SimConfig(topology=build_topology(kind, n), key_bits=2, failures=failures)
+    report = run(config)
+    assert report == _reference_run(config)
+    assert 0 < len(report.lost_pairs) < n * (n - 1) // 2
