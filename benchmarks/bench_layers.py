@@ -3,8 +3,8 @@
 One benchmark per row of that table, plus the fcn1 generator and the text
 writer that the star round trip also runs. Each times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
-oracle and four CLI commands. ``test_star_roundtrip`` times the whole star json round trip at
-n=400 (generate, write, parse, validate) as one number.
+oracle and four CLI commands. ``test_star_roundtrip`` times the whole star
+json round trip at n=400 (generate, write, parse, validate) as one number.
 Inputs are built outside the timed call. Run from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py

@@ -262,3 +262,29 @@ def test_run_matches_step_loop_at_workload_size(kind, n, failures):
     report = run(config)
     assert report == _reference_run(config)
     assert 0 < len(report.lost_pairs) < n * (n - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(TopologyKind.LCH, 5), (TopologyKind.FCN_FULL, 3), (TopologyKind.FCN_FULL, 4)]
+)
+def test_host_counts_its_exchange_that_stops_last(kind, n):
+    # A chain or fcn-full host can be in two exchanges of one step; every
+    # pair of failures at two times in different passes, either way round.
+    t = build_topology(kind, n)
+    period = len(generate_schedule(kind, n).steps)
+    for f1, f2 in itertools.permutations(valid_failures(t), 2):
+        for t1, t2 in [(2, period + 2), (period, 2 * period + 1)]:
+            config = SimConfig(topology=t, key_bits=3, failures=((t1, f1), (t2, f2)))
+            assert run(config) == _reference_run(config)
+
+
+def test_host_counts_its_exchange_that_stops_last_fcn_full3():
+    # Host 1 loses (1, 2) at step 3 and (1, 3) at step 7 of a 1-step schedule.
+    config = SimConfig(
+        topology=build_topology(TopologyKind.FCN_FULL, 3),
+        key_bits=10,
+        failures=((3, KeyExchangerFailure(1, 1)), (7, KeyExchangerFailure(1, 2))),
+    )
+    report = run(config)
+    assert report.bits_per_pair == {(1, 2): 2, (1, 3): 6, (2, 3): 10}
+    assert report.host_utilization == {1: 0.6, 2: 1.0, 3: 1.0}
