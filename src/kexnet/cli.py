@@ -98,8 +98,8 @@ def _write_out(path: str | None, content: str) -> None:
 
 def _tabular(fmt: str, columns: dict[str, list], doc=None) -> str:
     """Render columns (name -> values) as a table or csv, or as json:
-    ``doc`` if given, else one record per row. No cell ends in a space,
-    so a table pads every column but the last."""
+    ``doc`` if given, else one record per row. No cell is empty or ends in
+    a space, so a table pads every column but the last."""
     if fmt == "json":
         if doc is None:
             doc = [dict(zip(columns, row)) for row in zip(*columns.values())]
