@@ -3,8 +3,9 @@
 One benchmark per row of that table, plus the fcn1 generator and the text
 writer that the star round trip also runs. Each times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
-oracle and four CLI commands. ``test_star_roundtrip`` times the whole star
-json round trip at n=400 (generate, write, parse, validate) as one number.
+oracle and four CLI commands. ``test_star_roundtrip`` and
+``test_star_roundtrip_text`` time the whole star round trip at n=400
+(generate, write, parse, validate) in each format as one number.
 Inputs are built outside the timed call. Run from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
@@ -63,6 +64,16 @@ def _star_roundtrip(n):
 
 def test_star_roundtrip(benchmark):
     assert benchmark(_star_roundtrip, 400).ok
+
+
+def _star_roundtrip_text(n):
+    schedule = protocols.generate_star(n)
+    text = serialize.schedule_to_text(schedule)
+    return validate_schedule(serialize.text_to_schedule(text, schedule.topology))
+
+
+def test_star_roundtrip_text(benchmark):
+    assert benchmark(_star_roundtrip_text, 400).ok
 
 
 def test_schedule_to_json(benchmark, star400):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import itemgetter
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
 from .schedule import Schedule
@@ -69,7 +70,7 @@ def _cycles(n: int, d: int) -> list[list[tuple[int, int]]]:
     cycles = []
     for s in range(1, g + 1):
         hosts = [(s - 1 + k * d) % n + 1 for k in range(n // g)]
-        cycles.append([(v, (v - 1 + d) % n + 1) for v in hosts])
+        cycles.append(list(zip(hosts, hosts[1:] + hosts[:1])))
     return cycles
 
 
@@ -79,23 +80,32 @@ def _choose_disjoint_residuals(
     """Pick one residual edge per cycle of every distance in ``cycles``, all
     host-disjoint.
 
-    Depth-first over the cycles, shortest first, then by distance and cycle
-    index; within a cycle the edge initiated by its largest host is tried
-    first, so the unmerged canonical choice is kept whenever possible. A
+    ``cycles`` maps each distance d to ``_cycles(n, d)``. Depth-first over
+    the cycles, shortest first, then by distance and cycle index; within a
+    cycle the edge initiated by its largest host is tried first, so the
+    unmerged canonical choice is kept whenever possible. Cycle s of the
+    g = gcd(n, d) cycles holds the hosts congruent to s mod g, so its
+    largest host is n-g+s. That host starts edge k of the cycle for
+    k*(d/g) = m-1 (mod m), m = n/g: one anchor k for every cycle of the
+    distance. A slot's edge order is built when the search enters it. A
     stack of untried-edge iterators, not recursion, holds the search path,
     so any depth works. Returns {(distance, cycle_index): edge_index} or None.
     """
     slots = []
     for d, per_distance in cycles.items():
-        for ci, edges in enumerate(per_distance):
-            anchor = max(range(len(edges)), key=lambda k: edges[k][0])
-            indexed = list(enumerate(edges))
-            slots.append((len(edges), d, ci, indexed[anchor:] + indexed[:anchor]))
-    slots.sort(key=lambda slot: slot[:3])
+        g, m = len(per_distance), len(per_distance[0])
+        anchor = (m - 1) * pow(d // g, -1, m) % m
+        slots += [(m, d, ci, anchor) for ci in range(g)]
+    slots.sort()
+
+    def edge_order(slot):
+        _, d, ci, k = slot
+        edges = cycles[d][ci]
+        return chain(enumerate(edges[k:], k), enumerate(edges[:k]))
 
     picks: list[tuple[int, tuple[int, int]]] = []  # (index, edge) per slot entered
     used: set[int] = set()
-    stack = [iter(slots[0][3])]
+    stack = [edge_order(slots[0])]
     while stack:
         for k, (a, b) in stack[-1]:
             if a not in used and b not in used:
@@ -109,13 +119,15 @@ def _choose_disjoint_residuals(
         used.update((a, b))
         if len(picks) == len(slots):
             return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
-        stack.append(iter(slots[len(picks)][3]))
+        stack.append(edge_order(slots[len(picks)]))
     return None
 
 
 def _two_phases(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
     """The alternating matchings of edge paths: even positions, then odd."""
-    return [sorted(chain.from_iterable(p[k::2] for p in paths)) for k in (0, 1)]
+    # A phase is a matching, so its initiators alone give the pair order.
+    phases = (chain.from_iterable(p[k::2] for p in paths) for k in (0, 1))
+    return [sorted(phase, key=itemgetter(0)) for phase in phases]
 
 
 def generate_star(n: int) -> Schedule:
@@ -180,18 +192,16 @@ def generate_fcn_single(n: int) -> Schedule:
     one host sit out each round.
     """
     topo = build_topology(TopologyKind.FCN_SINGLE, n)
-    m = n if n % 2 == 0 else n + 1  # seat m is a phantom when n is odd
-    ring = list(range(1, m))
+    m = n + n % 2  # seat m is a phantom when n is odd
+    half, first = m // 2, n % 2
+    seats = list(range(1, m + 1))
     steps = []
     for _ in range(m - 1):
-        pairs = []
-        if m == n:
-            pairs.append((min(ring[0], m), max(ring[0], m)))
-        for k in range(1, m // 2):
-            x, y = ring[k], ring[m - 1 - k]
-            pairs.append((min(x, y), max(x, y)))
-        steps.append(sorted(pairs))
-        ring = ring[-1:] + ring[:-1]
+        # Seat k faces seat m-1-k; seat 0 sits out when the fixed seat is a phantom.
+        facing = zip(seats[first:half], seats[m - 1 - first : half - 1 : -1])
+        pairs = [(x, y) if x < y else (y, x) for x, y in facing]
+        steps.append(sorted(pairs, key=itemgetter(0)))
+        seats[:-1] = seats[-2:-1] + seats[:-2]
     return Schedule.from_pairs(topo, steps)
 
 

@@ -14,7 +14,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, count, filterfalse, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import AmbiguousStepError
@@ -87,38 +88,37 @@ MISSING_PAIR_LINES = 100
 
 def _host_order(host) -> tuple:
     # Int hosts in numeric order, then any other value by its repr.
-    return (0, host) if isinstance(host, int) else (1, repr(host))
+    return (0, host) if type(host) is int else (1, repr(host))
 
 
-class _Unhashable(str):
-    """Stands in for an unhashable host: a str whose repr is the host's."""
+class _Other(str):
+    """Stands in for a host that is not an int: a str whose repr is the host's.
+
+    So a value equal to an int (True, 2.0) is counted apart from that int,
+    and an unhashable one (a list) can be counted at all.
+    """
 
     __repr__ = str.__str__
 
 
-def _hashable(host):
-    try:
-        hash(host)
-    except TypeError:
-        return _Unhashable(repr(host))
-    return host
+def _counted(host):
+    return host if type(host) is int else _Other(repr(host))
 
 
-def _step_capacity_violations(
-    step: SbepStep, t: NetworkTopology, known: set[int]
-) -> list[Violation]:
+def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
+    # Hosts are checked against 1..n by bounds, not by a set of all n hosts.
     hosts = list(chain.from_iterable(step.exchanges))
-    try:
+    all_ints = set(map(type, hosts)) <= {int}
+    if all_ints:
         distinct = set(hosts)
-    except TypeError:  # an unhashable host, reported as unknown below
-        hosts = list(map(_hashable, hosts))
-        distinct = set(hosts)
-    if len(distinct) == len(hosts) and distinct <= known:
-        return []
+        if len(distinct) == len(hosts) and (
+            not hosts or 1 <= min(distinct) and max(distinct) <= t.n_hosts
+        ):
+            return []
     out = []
-    load = Counter(hosts)
+    load = Counter(hosts if all_ints else map(_counted, hosts))
     for host in sorted(load, key=_host_order):
-        if host not in known:
+        if type(host) is not int or not 1 <= host <= t.n_hosts:
             out.append(Violation(step.index, "unknown-host", f"host {host!r}"))
         elif load[host] > t.exchangers_per_host:
             out.append(
@@ -157,14 +157,19 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is
     not its 1-based position gets one ``step-index`` violation. A host
-    that is not one of 1..n is an ``unknown-host``; an exchange holding a
-    host that is not an int takes no part in the other checks. Duplicates
-    are reported once per occurrence beyond the first, with the offending
-    step index. Missing pairs are listed in pair order, at most
-    MISSING_PAIR_LINES of them, then one "<count> more pairs missing".
+    that is not an int (``type(h) is int``, as the json parser requires)
+    in 1..n is an ``unknown-host``; an exchange holding a host that is not
+    an int takes no part in the other checks. Duplicates are reported once
+    per occurrence beyond the first, with the offending step index.
+    Missing pairs are listed in pair order, at most MISSING_PAIR_LINES of
+    them, then one "<count> more pairs missing".
+
+    With no other violation, the schedule is accepted from one set of its
+    pairs: n(n-1)/2 of them, all distinct and none also given reversed,
+    are every pair once. Only otherwise are the pairs walked one by one
+    to name the duplicates and the missing pairs.
     """
     t = s.topology
-    known = set(t.hosts())
     violations: list[Violation] = []
     steps = []
     for position, step in enumerate(s.steps, 1):
@@ -172,17 +177,28 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             violations.append(
                 Violation(step.index, "step-index", f"expected index {position}")
             )
-        found = _step_capacity_violations(step, t, known)
+        found = _step_capacity_violations(step, t)
         if found:
             # A host that is not an int is reported above and cannot be
             # ordered against the others: its exchanges take no further part.
-            ints = [e for e in step.exchanges if all(isinstance(h, int) for h in e)]
+            ints = [e for e in step.exchanges if all(type(h) is int for h in e)]
             step = step._replace(exchanges=tuple(ints))
             violations.extend(found)
         if t.kind is TopologyKind.LCH:
             violations.extend(_step_interval_violations(step, t))
         steps.append(step)
 
+    n = t.n_hosts
+    total = n * (n - 1) // 2
+    exchanges = list(chain.from_iterable(step.exchanges for step in steps))
+    if not violations and len(exchanges) == total:
+        # Every host is an int in 1..n. A self-pair is its own reverse.
+        given = set(exchanges)
+        swapped = zip(map(itemgetter(1), exchanges), map(itemgetter(0), exchanges))
+        if len(given) == total and given.isdisjoint(swapped):
+            return ValidationReport(ok=True)
+
+    # Past the accept, walk the pairs to name the duplicates and the missing.
     seen: dict[tuple[int, int], int] = {}
     for step in steps:
         for a, b in step.exchanges:
@@ -197,20 +213,17 @@ def validate_schedule(s: Schedule) -> ValidationReport:
                 )
             else:
                 seen[p] = step.index
-    # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
-    # n(n-1)/2 distinct pairs are all the pairs.
-    n, hosts = t.n_hosts, t.hosts()
-    total = n * (n - 1) // 2
-    if violations or len(seen) != total or not seen.keys().isdisjoint(zip(hosts, hosts)):
-        # The walk stops one pair past the cap: at most cap + len(seen) pairs.
-        unseen = filterfalse(seen.__contains__, t.pairs())
-        missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
-        for p in missing[:MISSING_PAIR_LINES]:
-            violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
-        if len(missing) > MISSING_PAIR_LINES:
-            present = sum(1 <= lo < hi <= n for lo, hi in seen)
-            more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
-            violations.append(Violation(None, "missing-pair", more))
+    # The walk stops one pair past the cap: at most cap + len(seen) pairs.
+    # It takes the pairs in t.pairs() order without holding all n hosts.
+    pairs = chain.from_iterable(zip(repeat(a), range(a + 1, n + 1)) for a in t.hosts())
+    unseen = filterfalse(seen.__contains__, pairs)
+    missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
+    for p in missing[:MISSING_PAIR_LINES]:
+        violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
+    if len(missing) > MISSING_PAIR_LINES:
+        present = sum(1 <= lo < hi <= n for lo, hi in seen)
+        more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
+        violations.append(Violation(None, "missing-pair", more))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

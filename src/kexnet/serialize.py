@@ -20,20 +20,22 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
+from operator import eq
 
 from .errors import ScheduleFormatError
 from .schedule import SbepStep, Schedule
 from .topology import TopologyKind, build_topology, NetworkTopology
 
 _STEP_RE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
-_ID_RE = re.compile(r"\d+")
-# One pair as json.dumps(indent=2) lays it out inside a step.
-_JSON_PAIR = "[\n        %s,\n        %s\n      ]"
+# Past _STEP_RE and the "step " prefix, a line's ids lie between these marks.
+_ID_MARKS = str.maketrans(":(,)", "    ")
+# One pair as json.dumps(indent=2) lays it out inside a step, after the first.
+_JSON_PAIR = ",\n      [\n        %s,\n        %s\n      ]"
 
 
 def step_to_line(step: SbepStep) -> str:
-    pairs = " ".join(map("(%s,%s)".__mod__, step.exchanges))
-    return f"step {step.index}: {pairs}".rstrip()
+    pattern = "step %s:" + " (%s,%s)" * len(step.exchanges)
+    return pattern % (step.index, *chain.from_iterable(step.exchanges))
 
 
 def schedule_to_text(s: Schedule) -> str:
@@ -50,23 +52,24 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
         if _STEP_RE.match(line) is None:
             raise ScheduleFormatError(f"malformed schedule line: {line!r}")
         try:
-            index, *ids = map(int, _ID_RE.findall(line))
+            index, *ids = map(int, line[5:].translate(_ID_MARKS).split())
         except ValueError as exc:
             raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
-        exchanges = tuple(zip(ids[0::2], ids[1::2]))
-        for a, b in exchanges:
-            if a == b:
-                raise ScheduleFormatError(
-                    f"host {a} cannot exchange with itself in line {line!r}"
-                )
-        steps.append(SbepStep(index, exchanges))
+        initiators, responders = ids[0::2], ids[1::2]
+        if any(map(eq, initiators, responders)):
+            a = next(a for a, b in zip(initiators, responders) if a == b)
+            raise ScheduleFormatError(
+                f"host {a} cannot exchange with itself in line {line!r}"
+            )
+        steps.append(SbepStep(index, tuple(zip(initiators, responders))))
     return Schedule(topology=topology, steps=tuple(steps))
 
 
 def schedule_to_json(s: Schedule) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n", written directly."""
     steps = [
-        "[\n      " + ",\n      ".join(map(_JSON_PAIR.__mod__, step.exchanges)) + "\n    ]"
+        ("[" + (_JSON_PAIR * len(step.exchanges))[1:] + "\n    ]")
+        % tuple(chain.from_iterable(step.exchanges))
         if step.exchanges
         else "[]"
         for step in s.steps

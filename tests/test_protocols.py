@@ -3,7 +3,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kexnet import protocols
 from kexnet.cli import main
@@ -333,6 +333,97 @@ def test_residual_search_deeper_than_recursion_limit():
     assert [cycles[ci][chosen[1000, ci]] for ci in range(1000)] == [
         (ci + 2001, ci + 1) for ci in range(1000)
     ]
+
+
+# --- the chooser with a max-found anchor and copied cycles, kept as the reference
+
+
+def _reference_max_anchor_choose(cycles):
+    """Finds each cycle's anchor with max() over its edges and copies every
+    cycle, rotated and enumerated, before the search."""
+    slots = []
+    for d, per_distance in cycles.items():
+        for ci, edges in enumerate(per_distance):
+            anchor = max(range(len(edges)), key=lambda k: edges[k][0])
+            indexed = list(enumerate(edges))
+            slots.append((len(edges), d, ci, indexed[anchor:] + indexed[:anchor]))
+    slots.sort(key=lambda slot: slot[:3])
+
+    picks = []
+    used = set()
+    stack = [iter(slots[0][3])]
+    while stack:
+        for k, (a, b) in stack[-1]:
+            if a not in used and b not in used:
+                break
+        else:
+            stack.pop()
+            if picks:
+                used.difference_update(picks.pop()[1])
+            continue
+        picks.append((k, (a, b)))
+        used.update((a, b))
+        if len(picks) == len(slots):
+            return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
+        stack.append(iter(slots[len(picks)][3]))
+    return None
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=400))
+def test_chooser_matches_max_anchor_reference(n):
+    # Every residual group generate_star searches, compared as it is searched.
+    groups = []
+    choose = protocols._choose_disjoint_residuals
+
+    def checked(cycles):
+        chosen = choose(cycles)
+        assert chosen == _reference_max_anchor_choose(cycles)
+        groups.append(cycles)
+        return chosen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "_choose_disjoint_residuals", checked)
+        generate_star(n)
+    # Only n=2 and n=4 have no distance with a residual edge.
+    assert bool(groups) == (n not in (2, 4))
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_anchor_starts_at_largest_host(n):
+    for d in range(1, n // 2 + 1):
+        cycles = protocols._cycles(n, d)
+        assert cycles == [
+            _reference_cycle_edges(c, n, d) for c in _reference_cycles(n, d)
+        ]
+        g, m = math.gcd(n, d), n // math.gcd(n, d)
+        k = (m - 1) * pow(d // g, -1, m) % m
+        for s, edges in enumerate(cycles, 1):
+            assert edges[k][0] == max(a for a, _ in edges) == n - g + s
+
+
+def _reference_fcn_single(n):
+    """The circle method with min/max per pair and a full sort per round."""
+    topo = build_topology(TopologyKind.FCN_SINGLE, n)
+    m = n if n % 2 == 0 else n + 1
+    ring = list(range(1, m))
+    steps = []
+    for _ in range(m - 1):
+        pairs = []
+        if m == n:
+            pairs.append((min(ring[0], m), max(ring[0], m)))
+        for k in range(1, m // 2):
+            x, y = ring[k], ring[m - 1 - k]
+            pairs.append((min(x, y), max(x, y)))
+        steps.append(sorted(pairs))
+        ring = ring[-1:] + ring[:-1]
+    return Schedule.from_pairs(topo, steps)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=400))
+def test_fcn_single_matches_reference(n):
+    assert generate_fcn_single(n) == _reference_fcn_single(n)
 
 
 @pytest.mark.parametrize("n", [5, 16, 40])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -224,7 +225,8 @@ def _reference_validate(s):
 
 
 CORRUPTIONS = (
-    "drop", "duplicate", "replace", "host-0", "host-n+1", "overload", "misnumber"
+    "drop", "duplicate", "replace", "reverse", "host-0", "host-n+1", "overload",
+    "misnumber",
 )
 
 
@@ -249,11 +251,13 @@ def _corrupt(s, how, data):
         elif how == "overload":
             c = data.draw(st.integers(1, n).filter(lambda h: h != a))
             exchanges.append((a, c))
-        elif how == "replace":
-            # Same count of exchanges: one pair goes missing, one repeats.
+        elif how in ("replace", "reverse"):
+            # Same count of exchanges: one pair goes missing, one repeats,
+            # as given or reversed.
             pool = [e for _, es in steps for e in es if e != exchanges[k]]
             if pool:
-                exchanges[k] = data.draw(st.sampled_from(pool))
+                b, c = data.draw(st.sampled_from(pool))
+                exchanges[k] = (b, c) if how == "replace" else (c, b)
         else:
             exchanges[k] = (a, 0 if how == "host-0" else n + 1)
     return Schedule(s.topology, tuple(SbepStep(i, tuple(es)) for i, es in steps))
@@ -293,6 +297,8 @@ def test_non_int_host_is_unknown(kind):
     # an unhashable one, reported once per step like any other.
     steps = [[(1, 2)], [(1, "3")], [(1, 3)], [(2, 3.5)], [(2, 3)], [(None, 1)]]
     steps += [[([1], 2)], [(3, [2]), ({3: 3}, [2])]]
+    # Equal to an int is not an int: True == 1 and 2.0 == 2.
+    steps += [[(1, 2.0)], [(True, 3)]]
     expected = (
         Violation(2, "unknown-host", "host '3'"),
         Violation(4, "unknown-host", "host 3.5"),
@@ -300,6 +306,8 @@ def test_non_int_host_is_unknown(kind):
         Violation(7, "unknown-host", "host [1]"),
         Violation(8, "unknown-host", "host [2]"),
         Violation(8, "unknown-host", "host {3: 3}"),
+        Violation(9, "unknown-host", "host 2.0"),
+        Violation(10, "unknown-host", "host True"),
     )
     all_str = [[("1", "2")], [("1", "3")], [("2", "3")]]
     t = build_topology(kind, 3)
@@ -309,6 +317,23 @@ def test_non_int_host_is_unknown(kind):
         assert [v.kind for v in report.violations] == ["unknown-host"] * 6 + [
             "missing-pair"
         ] * 3
+
+
+@pytest.mark.parametrize(
+    "steps,at,odd",
+    [
+        ([[(1, 2.0)], [(1, 3)], [(2, 3)]], 1, 2.0),
+        ([[(True, 2)], [(1, 3)], [(2, 3)]], 1, True),
+        # Host 1 is checked before True turns up in its place.
+        ([[(1, 3)], [(True, 2)], [(2, 3)]], 2, True),
+    ],
+)
+def test_host_equal_to_an_int_is_unknown(steps, at, odd):
+    s = Schedule.from_pairs(build_topology(TopologyKind.STAR, 3), steps)
+    assert validate_schedule(s).violations == (
+        Violation(at, "unknown-host", f"host {odd!r}"),
+        Violation(None, "missing-pair", "(1,2)"),
+    )
 
 
 def test_non_int_host_beside_other_violations():
@@ -362,6 +387,33 @@ def test_missing_pairs_walk_bounded():
     assert report.violations[99] == Violation(None, "missing-pair", "(1,101)")
     more = 10**5 * (10**5 - 1) // 2 - 100
     assert report.violations[100].detail == f"{more} more pairs missing"
+
+
+def test_validate_memory_does_not_grow_with_n():
+    # No steps: the host check holds no set of all n hosts.
+    s = make_schedule(TopologyKind.STAR, 10**6, [])
+    tracemalloc.start()
+    try:
+        report = validate_schedule(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.violations) == MISSING_PAIR_LINES + 1
+    assert peak < 5 * 2**20
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    hows=st.lists(st.sampled_from(CORRUPTIONS), max_size=1),
+    data=st.data(),
+)
+def test_validator_matches_pair_walk_star(n, hows, data):
+    # The one-set accept against the per-pair walk of _reference_validate.
+    s = generate_star(n)
+    for how in hows:
+        s = _corrupt(s, how, data)
+    assert validate_schedule(s) == _capped(_reference_validate(s))
 
 
 # --- the data model's contract ------------------------------------------------

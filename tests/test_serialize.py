@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kexnet.errors import ScheduleFormatError
-from kexnet.protocols import generate_schedule
-from kexnet.schedule import Schedule
+from kexnet.protocols import generate_schedule, generate_star
+from kexnet.schedule import SbepStep, Schedule
 from kexnet.serialize import (
     json_to_schedule,
     schedule_to_json,
@@ -121,3 +122,134 @@ def test_json_bad_host_count_rejected(n_hosts):
     doc = {"topology": {"kind": "star", "n_hosts": n_hosts}, "steps": [[[1, 2]]]}
     with pytest.raises(ScheduleFormatError):
         json_to_schedule(json.dumps(doc))
+
+
+# --- the per-pair writers and the regex id parser, kept as the references ----
+
+_STEP_LINE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
+_REFERENCE_ID_RE = re.compile(r"\d+")
+_REFERENCE_JSON_PAIR = "[\n        %s,\n        %s\n      ]"
+
+
+def _reference_schedule_to_text(s):
+    """One "(%s,%s)" per pair, joined, and the line right-stripped."""
+    lines = []
+    for step in s.steps:
+        pairs = " ".join(map("(%s,%s)".__mod__, step.exchanges))
+        lines.append(f"step {step.index}: {pairs}".rstrip() + "\n")
+    return "".join(lines)
+
+
+def _reference_schedule_to_json(s):
+    """The direct json writer with one % call per pair."""
+    steps = [
+        "[\n      "
+        + ",\n      ".join(map(_REFERENCE_JSON_PAIR.__mod__, step.exchanges))
+        + "\n    ]"
+        if step.exchanges
+        else "[]"
+        for step in s.steps
+    ]
+    body = "[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]"
+    t = s.topology
+    return (
+        f'{{\n  "topology": {{\n    "kind": {json.dumps(t.kind.value)},\n'
+        f'    "n_hosts": {t.n_hosts}\n  }},\n  "steps": {body}\n}}\n'
+    )
+
+
+def _reference_text_to_schedule(text, topology):
+    """The text parser that read the ids with a regex and checked each pair."""
+    steps = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if _STEP_LINE.match(line) is None:
+            raise ScheduleFormatError(f"malformed schedule line: {line!r}")
+        try:
+            index, *ids = map(int, _REFERENCE_ID_RE.findall(line))
+        except ValueError as exc:
+            raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
+        exchanges = tuple(zip(ids[0::2], ids[1::2]))
+        for a, b in exchanges:
+            if a == b:
+                raise ScheduleFormatError(
+                    f"host {a} cannot exchange with itself in line {line!r}"
+                )
+        steps.append(SbepStep(index, exchanges))
+    return Schedule(topology=topology, steps=tuple(steps))
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(min_value=2, max_value=400))
+def test_star_writers_and_parser_match_reference(n):
+    s = generate_star(n)
+    text = schedule_to_text(s)
+    assert text == _reference_schedule_to_text(s)
+    assert schedule_to_json(s) == _reference_schedule_to_json(s)
+    parsed = text_to_schedule(text, s.topology)
+    assert parsed == _reference_text_to_schedule(text, s.topology) == s
+
+
+@given(s=_SCHEDULES)
+def test_writers_and_parser_match_reference_arbitrary(s):
+    # No steps, empty steps, ids off the topology and multi-digit ids.
+    text = schedule_to_text(s)
+    assert text == _reference_schedule_to_text(s)
+    assert schedule_to_json(s) == _reference_schedule_to_json(s)
+    parsed = text_to_schedule(text, s.topology)
+    assert parsed == _reference_text_to_schedule(text, s.topology) == s
+
+
+def _outcome(parse, text, topology):
+    """The parsed schedule, or the message of the error the parse raised."""
+    try:
+        return parse(text, topology)
+    except ScheduleFormatError as exc:
+        return str(exc)
+
+
+def _int_error(digits):
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("int() took the digits")
+
+
+_BIG = "9" * 5000  # past sys.get_int_max_str_digits()
+_TEXT_CASES = {
+    "space after a comma": (
+        "step 1: (1, 2)", "malformed schedule line: 'step 1: (1, 2)'"
+    ),
+    "missing parenthesis": (
+        "step 1: (1,2", "malformed schedule line: 'step 1: (1,2'"
+    ),
+    "superscript digit": (
+        "step 1: (1,\u00b2)", "malformed schedule line: 'step 1: (1,\u00b2)'"
+    ),
+    "5000-digit id": (
+        f"step 1: (1,{_BIG})", f"{_int_error(_BIG)} in line 'step 1: (1,{_BIG})'"
+    ),
+    "self-pair": (
+        "step 1: (1,2) (3,3)",
+        "host 3 cannot exchange with itself in line 'step 1: (1,2) (3,3)'",
+    ),
+    # Arabic-Indic digits are decimal digits, so they read as ids.
+    "unicode self-pair": (
+        "step 1: (\u0663,3)",
+        "host 3 cannot exchange with itself in line 'step 1: (\u0663,3)'",
+    ),
+    "unicode digits": (
+        "step \u0661: (\u0661,\u0662)",
+        Schedule(build_topology(TopologyKind.STAR, 3), (SbepStep(1, ((1, 2),)),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("line,expected", _TEXT_CASES.values(), ids=list(_TEXT_CASES))
+def test_text_parser_outcomes_pinned(line, expected):
+    topo = build_topology(TopologyKind.STAR, 3)
+    text = line + "\n"
+    got = _outcome(text_to_schedule, text, topo)
+    assert got == _outcome(_reference_text_to_schedule, text, topo) == expected
