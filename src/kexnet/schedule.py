@@ -14,8 +14,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, filterfalse, islice, repeat
-from operator import itemgetter
+from itertools import chain, count, filterfalse, islice
 from typing import NamedTuple
 
 from .errors import AmbiguousStepError
@@ -163,11 +162,6 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     per occurrence beyond the first, with the offending step index.
     Missing pairs are listed in pair order, at most MISSING_PAIR_LINES of
     them, then one "<count> more pairs missing".
-
-    With no other violation, the schedule is accepted from one set of its
-    pairs: n(n-1)/2 of them, all distinct and none also given reversed,
-    are every pair once. Only otherwise are the pairs walked one by one
-    to name the duplicates and the missing pairs.
     """
     t = s.topology
     violations: list[Violation] = []
@@ -188,17 +182,6 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             violations.extend(_step_interval_violations(step, t))
         steps.append(step)
 
-    n = t.n_hosts
-    total = n * (n - 1) // 2
-    exchanges = list(chain.from_iterable(step.exchanges for step in steps))
-    if not violations and len(exchanges) == total:
-        # Every host is an int in 1..n. A self-pair is its own reverse.
-        given = set(exchanges)
-        swapped = zip(map(itemgetter(1), exchanges), map(itemgetter(0), exchanges))
-        if len(given) == total and given.isdisjoint(swapped):
-            return ValidationReport(ok=True)
-
-    # Past the accept, walk the pairs to name the duplicates and the missing.
     seen: dict[tuple[int, int], int] = {}
     for step in steps:
         for a, b in step.exchanges:
@@ -213,17 +196,20 @@ def validate_schedule(s: Schedule) -> ValidationReport:
                 )
             else:
                 seen[p] = step.index
-    # The walk stops one pair past the cap: at most cap + len(seen) pairs.
-    # It takes the pairs in t.pairs() order without holding all n hosts.
-    pairs = chain.from_iterable(zip(repeat(a), range(a + 1, n + 1)) for a in t.hosts())
-    unseen = filterfalse(seen.__contains__, pairs)
-    missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
-    for p in missing[:MISSING_PAIR_LINES]:
-        violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
-    if len(missing) > MISSING_PAIR_LINES:
-        present = sum(1 <= lo < hi <= n for lo, hi in seen)
-        more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
-        violations.append(Violation(None, "missing-pair", more))
+    # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
+    # n(n-1)/2 distinct pairs are all the pairs.
+    n, hosts = t.n_hosts, t.hosts()
+    total = n * (n - 1) // 2
+    if violations or len(seen) != total or not seen.keys().isdisjoint(zip(hosts, hosts)):
+        # The walk stops one pair past the cap: at most cap + len(seen) pairs.
+        unseen = filterfalse(seen.__contains__, t.pairs())
+        missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
+        for p in missing[:MISSING_PAIR_LINES]:
+            violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
+        if len(missing) > MISSING_PAIR_LINES:
+            present = sum(1 <= lo < hi <= n for lo, hi in seen)
+            more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
+            violations.append(Violation(None, "missing-pair", more))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -33,9 +33,20 @@ _ID_MARKS = str.maketrans(":(,)", "    ")
 _JSON_PAIR = ",\n      [\n        %s,\n        %s\n      ]"
 
 
+def _hosts(step: SbepStep) -> tuple:
+    """The step's hosts in exchange order, two per exchange.
+
+    Raises ValueError for an exchange that is not two hosts, which the
+    writers' one pattern per step would otherwise split across pairs."""
+    if set(map(len, step.exchanges)) - {2}:
+        bad = next(e for e in step.exchanges if len(e) != 2)
+        raise ValueError(f"exchange {bad!r} in step {step.index} is not two hosts")
+    return tuple(chain.from_iterable(step.exchanges))
+
+
 def step_to_line(step: SbepStep) -> str:
     pattern = "step %s:" + " (%s,%s)" * len(step.exchanges)
-    return pattern % (step.index, *chain.from_iterable(step.exchanges))
+    return pattern % (step.index, *_hosts(step))
 
 
 def schedule_to_text(s: Schedule) -> str:
@@ -69,7 +80,7 @@ def schedule_to_json(s: Schedule) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n", written directly."""
     steps = [
         ("[" + (_JSON_PAIR * len(step.exchanges))[1:] + "\n    ]")
-        % tuple(chain.from_iterable(step.exchanges))
+        % _hosts(step)
         if step.exchanges
         else "[]"
         for step in s.steps

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, repeat
 
 from .errors import InvalidSizeError
 
@@ -81,8 +81,11 @@ class NetworkTopology:
         return range(1, self.n_hosts + 1)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """Every unordered host pair as (low, high), in ascending order."""
-        return combinations(self.hosts(), 2)
+        """Every unordered host pair as (low, high), in ascending order.
+
+        Lazy: it holds one host's partners at a time, never all n hosts."""
+        n = self.n_hosts
+        return chain.from_iterable(zip(repeat(a), range(a + 1, n + 1)) for a in self.hosts())
 
 
 @dataclass(frozen=True)

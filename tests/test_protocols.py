@@ -335,60 +335,6 @@ def test_residual_search_deeper_than_recursion_limit():
     ]
 
 
-# --- the chooser with a max-found anchor and copied cycles, kept as the reference
-
-
-def _reference_max_anchor_choose(cycles):
-    """Finds each cycle's anchor with max() over its edges and copies every
-    cycle, rotated and enumerated, before the search."""
-    slots = []
-    for d, per_distance in cycles.items():
-        for ci, edges in enumerate(per_distance):
-            anchor = max(range(len(edges)), key=lambda k: edges[k][0])
-            indexed = list(enumerate(edges))
-            slots.append((len(edges), d, ci, indexed[anchor:] + indexed[:anchor]))
-    slots.sort(key=lambda slot: slot[:3])
-
-    picks = []
-    used = set()
-    stack = [iter(slots[0][3])]
-    while stack:
-        for k, (a, b) in stack[-1]:
-            if a not in used and b not in used:
-                break
-        else:
-            stack.pop()
-            if picks:
-                used.difference_update(picks.pop()[1])
-            continue
-        picks.append((k, (a, b)))
-        used.update((a, b))
-        if len(picks) == len(slots):
-            return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
-        stack.append(iter(slots[len(picks)][3]))
-    return None
-
-
-@settings(deadline=None, max_examples=40)
-@given(n=st.integers(min_value=2, max_value=400))
-def test_chooser_matches_max_anchor_reference(n):
-    # Every residual group generate_star searches, compared as it is searched.
-    groups = []
-    choose = protocols._choose_disjoint_residuals
-
-    def checked(cycles):
-        chosen = choose(cycles)
-        assert chosen == _reference_max_anchor_choose(cycles)
-        groups.append(cycles)
-        return chosen
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocols, "_choose_disjoint_residuals", checked)
-        generate_star(n)
-    # Only n=2 and n=4 have no distance with a residual edge.
-    assert bool(groups) == (n not in (2, 4))
-
-
 @pytest.mark.parametrize("n", range(3, 61))
 def test_anchor_starts_at_largest_host(n):
     for d in range(1, n // 2 + 1):

@@ -402,20 +402,6 @@ def test_validate_memory_does_not_grow_with_n():
     assert peak < 5 * 2**20
 
 
-@settings(deadline=None, max_examples=30)
-@given(
-    n=st.integers(min_value=2, max_value=400),
-    hows=st.lists(st.sampled_from(CORRUPTIONS), max_size=1),
-    data=st.data(),
-)
-def test_validator_matches_pair_walk_star(n, hows, data):
-    # The one-set accept against the per-pair walk of _reference_validate.
-    s = generate_star(n)
-    for how in hows:
-        s = _corrupt(s, how, data)
-    assert validate_schedule(s) == _capped(_reference_validate(s))
-
-
 # --- the data model's contract ------------------------------------------------
 
 

@@ -98,6 +98,18 @@ def test_json_writer_edge_cases():
         assert schedule_to_json(s) == _reference_json(s)
 
 
+@pytest.mark.parametrize(
+    "exchanges", [((1, 2, 3), (4,)), ((1,), (2, 3, 4)), ((1, 2), (1, 2, 3)), ((),)]
+)
+def test_writers_refuse_exchange_not_two_hosts(exchanges):
+    # Flattened, these hold two hosts per exchange on average: each writer
+    # must refuse them, not write them as other pairs.
+    s = Schedule(build_topology(TopologyKind.STAR, 5), (SbepStep(1, exchanges),))
+    for write in (schedule_to_text, schedule_to_json):
+        with pytest.raises(ValueError, match="not two hosts"):
+            write(s)
+
+
 def test_self_pair_rejected_by_both_parsers():
     topo = build_topology(TopologyKind.STAR, 3)
     with pytest.raises(ScheduleFormatError, match="itself"):
