@@ -15,7 +15,6 @@ from kexnet.schedule import (
     Schedule,
     ValidationReport,
     Violation,
-    _step_interval_violations,
     host_states,
     pair_coverage,
     validate_schedule,
@@ -192,6 +191,25 @@ def _reference_capacity_violations(step, t):
     return out
 
 
+def _step_interval_violations(step, t):
+    # Chain exclusivity: spans may touch at endpoints but not overlap inside.
+    out = []
+    exchanges = sorted(step.exchanges)
+    spans = [(a, b) if a < b else (b, a) for a, b in exchanges]
+    for i, (lo1, hi1) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            lo2, hi2 = spans[j]
+            if not (hi1 <= lo2 or hi2 <= lo1):
+                out.append(
+                    Violation(
+                        step.index,
+                        "lch-overlap",
+                        "(%s,%s) overlaps (%s,%s)" % (*exchanges[i], *exchanges[j]),
+                    )
+                )
+    return out
+
+
 def _reference_validate(s):
     t = s.topology
     violations = []
@@ -226,7 +244,7 @@ def _reference_validate(s):
 
 CORRUPTIONS = (
     "drop", "duplicate", "replace", "reverse", "host-0", "host-n+1", "overload",
-    "misnumber",
+    "misnumber", "self-pair",
 )
 
 
@@ -236,7 +254,10 @@ def _corrupt(s, how, data):
     steps = [[step.index, list(step.exchanges)] for step in s.steps]
     step = data.draw(st.sampled_from(steps))
     index, exchanges = step
-    if how == "misnumber":
+    if how == "self-pair":
+        h = data.draw(st.integers(1, n))
+        exchanges.insert(data.draw(st.integers(0, len(exchanges))), (h, h))
+    elif how == "misnumber":
         step[0] = data.draw(st.integers(0, len(steps) + 1).filter(lambda i: i != index))
     elif how == "duplicate":
         pool = [e for _, es in steps for e in es]
@@ -275,6 +296,35 @@ def test_validator_matches_reference(kind, n, hows, data):
     for how in hows:
         s = _corrupt(s, how, data)
     assert validate_schedule(s) == _reference_validate(s)
+
+
+def _parts(kind, a, b):
+    """What the exchange (a, b), a != b, holds, written out for the tests:
+    its two hosts, the chain segments it crosses, or its fcn-full cable."""
+    lo, hi = sorted((a, b))
+    if kind is TopologyKind.LCH:
+        return set(range(lo, hi))
+    if kind is TopologyKind.FCN_FULL:
+        return {(lo, hi)}
+    return {lo, hi}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    pairs=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=40),
+)
+def test_no_part_held_twice_breaks_no_step_rule(kind, n, pairs):
+    # The lemma the validator's fast accept rests on: a step of int hosts in
+    # 1..n, no self-pair, and no part held twice breaks no per-step rule.
+    held, step = set(), []
+    for a, b in pairs:
+        if a != b and a <= n and b <= n and held.isdisjoint(_parts(kind, a, b)):
+            held |= _parts(kind, a, b)
+            step.append((a, b))
+    s = Schedule(build_topology(kind, n), (SbepStep(1, tuple(step)),))
+    kinds = {v.kind for v in _reference_validate(s).violations}
+    assert not kinds & {"capacity", "unknown-host", "lch-overlap"}
 
 
 def test_validator_self_pair_not_counted():
