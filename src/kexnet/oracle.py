@@ -1,25 +1,26 @@
 """Exact minimum step counts by exhaustive search, plus counting bounds.
 
-Every model is one rule: each exchange holds parts for its whole step (its
-two hosts under capacity 1, the segments it crosses on the chain, its own
-cable in fcn-full) and the exchanges of a step hold disjoint parts. The
-search deepens on the step count from max(load of the busiest part,
-ceil(pairs / per_step)), per_step being the parts over the fewest parts an
-exchange holds: n-1 or n for a matching, floor(n^2/4) for the chain, 1 for
-fcn-full. Steps are branched include-before-exclude in pair order, the
-smallest uncovered pair opening each, on an explicit stack without
-recursion. Ceilings of n=20 (n=108 for the chain) keep a call near 1 s.
-"""
+Every model is the one rule of ``topology.parts_held``: each exchange holds
+parts for its whole step (its two hosts under capacity 1, the segments it
+crosses on the chain, its own cable in fcn-full) and the exchanges of a
+step hold disjoint parts. The search deepens on the step count from
+max(load of the busiest part, ceil(pairs / per_step)), per_step being the
+parts over the fewest parts an exchange holds; it starts at n-1 or n for a
+matching, floor(n^2/4) for the chain and 1 for fcn-full. Steps are branched
+include-before-exclude in pair order, the smallest uncovered pair opening
+each, on an explicit stack without recursion. Ceilings of n=20 (n=108 for
+the chain) keep a call near 1 s."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import InvalidSizeError, SearchTooLargeError
 from .protocols import sbep_formula
 from .schedule import Schedule
-from .topology import TopologyKind, build_topology
+from .topology import TopologyKind, build_topology, parts_held
 
 EXHAUSTIVE_CEILING = 20
 LCH_CEILING = 108
@@ -51,16 +52,6 @@ def chain_cut_lower_bound(n: int) -> int:
     if n < 2:
         raise InvalidSizeError(f"need at least 2 hosts, got {n}")
     return n * n // 4
-
-
-def _occupies(kind: TopologyKind, lo: int, hi: int):
-    """The parts an exchange between hosts lo < hi holds for its step: the
-    chain segments it crosses, its own fcn-full cable, or its two hosts."""
-    if kind is TopologyKind.LCH:
-        return range(lo, hi)
-    if kind is TopologyKind.FCN_FULL:
-        return [(lo, hi)]
-    return [lo, hi]
 
 
 def _steps(left: list[int], masks: list[int]):
@@ -110,18 +101,16 @@ def _cover(masks, load, per_step, depth):
     return None
 
 
-def _min_cover(held) -> tuple[int, list[list[int]]]:
+def _min_cover(masks: list[int]) -> tuple[int, list[list[int]]]:
     """Fewest steps covering every exchange, where exchange i holds the parts
-    ``held[i]`` and the exchanges of a step hold disjoint parts, with each
-    step as exchange indices. The search deepens from ``_cover``'s bound on
-    all exchanges; both bounds are sound, so the first witness is the one a
-    search from depth 1 without cuts would find."""
-    load = Counter(p for parts in held for p in parts)
-    bit = {p: b for b, p in enumerate(load)}
-    masks = [sum(1 << bit[p] for p in parts) for parts in held]
-    per_step = len(load) // min(map(len, held))
-    depth = max(max(load.values()), -(-len(held) // per_step))
-    while (steps := _cover(masks, list(load.values()), per_step, depth)) is None:
+    set in ``masks[i]`` and the exchanges of a step hold disjoint parts, with
+    each step as exchange indices. The search deepens from ``_cover``'s bound
+    on all exchanges; both bounds are sound, so the first witness is the one
+    a search from depth 1 without cuts would find."""
+    load = [sum(m >> p & 1 for m in masks) for p in range(reduce(or_, masks).bit_length())]
+    per_step = sum(map(bool, load)) // min(m.bit_count() for m in masks)
+    depth = max(max(load), -(-len(masks) // per_step))
+    while (steps := _cover(masks, load, per_step, depth)) is None:
         depth += 1
     return depth, steps
 
@@ -129,7 +118,7 @@ def _min_cover(held) -> tuple[int, list[list[int]]]:
 def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
     """Exact minimum SBEP count for ``kind`` with a witness schedule: the
     fewest steps in which every pair exchanges once, the exchanges of one
-    step holding disjoint parts (see ``_occupies``).
+    step holding disjoint parts (see ``topology.parts_held``).
 
     Exhaustive up to n=20 for star, fcn1 and fcn-full and n=108 for the
     chain; larger sizes raise SearchTooLargeError and should use the bound
@@ -148,7 +137,7 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
         )
     topo = build_topology(kind, n)
     pairs = list(topo.pairs())
-    count, steps = _min_cover([_occupies(kind, lo, hi) for lo, hi in pairs])
+    count, steps = _min_cover([parts_held(kind, lo, hi) for lo, hi in pairs])
     witness = Schedule.from_pairs(topo, [[pairs[i] for i in step] for step in steps])
     return OracleResult(n=n, constraint_model=kind, min_steps=count, witness=witness)
 

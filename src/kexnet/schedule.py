@@ -2,11 +2,9 @@
 
 A schedule is an ordered list of steps; in each step a set of host pairs
 exchange one secure bit simultaneously. Validation checks completeness
-(every unordered pair exactly once over the whole schedule), per-step
-exchanger capacity, and for the linear chain the wire-interval exclusivity
-rule: an exchange between hosts i and j occupies the wire span
-[min(i,j), max(i,j)], and two exchanges may share at most an endpoint host.
-"""
+(every unordered pair exactly once over the whole schedule) and the part
+rule of ``topology.parts_held`` in each step, reporting a step that
+breaks it as host loads over capacity and chain spans that overlap."""
 
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ from itertools import chain, count, filterfalse, islice
 from typing import NamedTuple
 
 from .errors import AmbiguousStepError
-from .topology import NetworkTopology, TopologyKind
+from .topology import NetworkTopology, TopologyKind, part_held_twice
 
 
 class SbepStep(NamedTuple):
@@ -85,68 +83,68 @@ class ValidationReport:
 MISSING_PAIR_LINES = 100
 
 
-def _host_order(host) -> tuple:
-    # Int hosts in numeric order, then any other value by its repr.
-    return (0, host) if type(host) is int else (1, repr(host))
+def _spans(exchanges) -> list[tuple[int, int]]:
+    # Each (a, b) as (lo, hi), keeping a tuple that is in order already.
+    return [e if a < b else (b, a) for e in exchanges for a, b in (e,)]
 
 
-class _Other(str):
-    """Stands in for a host that is not an int: a str whose repr is the host's.
+def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
+    """The step's exchanges as (lo, hi) spans if each is a tuple of two int
+    hosts in 1..n (checked by bounds) and no part is held twice, else None."""
+    exchanges = step.exchanges
+    try:
+        hosts = list(chain.from_iterable(exchanges))
+        spans = _spans(exchanges)
+    except (TypeError, ValueError):  # an exchange that is not two comparable hosts
+        return None
+    if set(map(type, exchanges)) - {tuple} or set(map(type, hosts)) - {int}:
+        return None
+    bounded = not hosts or 1 <= min(hosts) and max(hosts) <= t.n_hosts
+    return spans if bounded and not part_held_twice(t.kind, spans) else None
 
-    So a value equal to an int (True, 2.0) is counted apart from that int,
-    and an unhashable one (a list) can be counted at all.
-    """
 
-    __repr__ = str.__str__
+def _overlaps(index: int, exchanges: list) -> list[Violation]:
+    # Chain spans may touch at an endpoint host but not overlap inside.
+    exchanges = sorted(exchanges)
+    spans = _spans(exchanges)
+    return [
+        Violation(index, "lch-overlap", "(%s,%s) overlaps (%s,%s)" % (*x, *y))
+        for i, (x, (lo, hi)) in enumerate(zip(exchanges, spans))
+        for y, (lo2, hi2) in zip(exchanges[i + 1 :], spans[i + 1 :])
+        if lo2 < hi and lo < hi2
+    ]
 
 
-def _counted(host):
-    return host if type(host) is int else _Other(repr(host))
-
-
-def _step_capacity_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
-    # Hosts are checked against 1..n by bounds, not by a set of all n hosts.
+def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
+    """The violations of a step that fails the fast accept, and its
+    exchanges of int hosts, which alone go on to the pair checks."""
     hosts = list(chain.from_iterable(step.exchanges))
-    all_ints = set(map(type, hosts)) <= {int}
-    if all_ints:
-        distinct = set(hosts)
-        if len(distinct) == len(hosts) and (
-            not hosts or 1 <= min(distinct) and max(distinct) <= t.n_hosts
-        ):
-            return []
+    load, cap = Counter(h for h in hosts if type(h) is int), t.exchangers_per_host
     out = []
-    load = Counter(hosts if all_ints else map(_counted, hosts))
-    for host in sorted(load, key=_host_order):
-        if type(host) is not int or not 1 <= host <= t.n_hosts:
-            out.append(Violation(step.index, "unknown-host", f"host {host!r}"))
-        elif load[host] > t.exchangers_per_host:
-            out.append(
-                Violation(
-                    step.index,
-                    "capacity",
-                    f"host {host} in {load[host]} exchanges, "
-                    f"capacity {t.exchangers_per_host}",
-                )
-            )
-    return out
+    for host in sorted(load):
+        if not 1 <= host <= t.n_hosts:
+            out.append(Violation(step.index, "unknown-host", f"host {host}"))
+        elif load[host] > cap:
+            detail = f"host {host} in {load[host]} exchanges, capacity {cap}"
+            out.append(Violation(step.index, "capacity", detail))
+    # Any other value by its repr, be it True, 2.0 or an unhashable list.
+    for other in sorted({repr(h) for h in hosts if type(h) is not int}):
+        out.append(Violation(step.index, "unknown-host", f"host {other}"))
+    exchanges = [tuple(e) for e in step.exchanges if set(map(type, e)) == {int}]
+    if t.kind is TopologyKind.LCH:
+        out.extend(_overlaps(step.index, exchanges))
+    return out, exchanges
 
 
-def _step_interval_violations(step: SbepStep, t: NetworkTopology) -> list[Violation]:
-    # Chain exclusivity: spans may touch at endpoints but not overlap inside.
-    out = []
-    exchanges = sorted(step.exchanges)
-    spans = [(a, b) if a < b else (b, a) for a, b in exchanges]
-    for i, (lo1, hi1) in enumerate(spans):
-        for j in range(i + 1, len(spans)):
-            lo2, hi2 = spans[j]
-            if not (hi1 <= lo2 or hi2 <= lo1):
-                out.append(
-                    Violation(
-                        step.index,
-                        "lch-overlap",
-                        "(%s,%s) overlaps (%s,%s)" % (*exchanges[i], *exchanges[j]),
-                    )
-                )
+def _duplicates(steps: list[tuple[int, list]]) -> list[Violation]:
+    """Each pair given again, in the step of each occurrence beyond the first."""
+    first, out = {}, []
+    for index, spans in steps:
+        for p in spans:
+            if p in first:
+                detail = "(%s,%s) already exchanged in step %s" % (*p, first[p])
+                out.append(Violation(index, "duplicate-pair", detail))
+            first.setdefault(p, index)
     return out
 
 
@@ -158,10 +156,12 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     not its 1-based position gets one ``step-index`` violation. A host
     that is not an int (``type(h) is int``, as the json parser requires)
     in 1..n is an ``unknown-host``; an exchange holding a host that is not
-    an int takes no part in the other checks. Duplicates are reported once
-    per occurrence beyond the first, with the offending step index.
-    Missing pairs are listed in pair order, at most MISSING_PAIR_LINES of
-    them, then one "<count> more pairs missing".
+    an int takes no part in the other checks. Only a step whose exchanges
+    hold a part twice (``topology.parts_held``) has its host loads and
+    chain overlaps looked at. Duplicates are reported once per occurrence
+    beyond the first, with the offending step index. Missing pairs are
+    listed in pair order, at most MISSING_PAIR_LINES of them, then one
+    "<count> more pairs missing".
     """
     t = s.topology
     violations: list[Violation] = []
@@ -171,31 +171,15 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             violations.append(
                 Violation(step.index, "step-index", f"expected index {position}")
             )
-        found = _step_capacity_violations(step, t)
-        if found:
-            # A host that is not an int is reported above and cannot be
-            # ordered against the others: its exchanges take no further part.
-            ints = [e for e in step.exchanges if all(type(h) is int for h in e)]
-            step = step._replace(exchanges=tuple(ints))
+        spans = _accepted_spans(step, t)
+        if spans is None:
+            found, exchanges = _step_violations(step, t)
             violations.extend(found)
-        if t.kind is TopologyKind.LCH:
-            violations.extend(_step_interval_violations(step, t))
-        steps.append(step)
-
-    seen: dict[tuple[int, int], int] = {}
-    for step in steps:
-        for a, b in step.exchanges:
-            p = (a, b) if a < b else (b, a)
-            if p in seen:
-                violations.append(
-                    Violation(
-                        step.index,
-                        "duplicate-pair",
-                        f"({p[0]},{p[1]}) already exchanged in step {seen[p]}",
-                    )
-                )
-            else:
-                seen[p] = step.index
+            spans = _spans(exchanges)
+        steps.append((step.index, spans))
+    seen = dict.fromkeys(chain.from_iterable(spans for _, spans in steps))
+    if len(seen) < sum(len(spans) for _, spans in steps):
+        violations.extend(_duplicates(steps))
     # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
     # n(n-1)/2 distinct pairs are all the pairs.
     n, hosts = t.n_hosts, t.hosts()

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from functools import reduce
+from itertools import chain, repeat, starmap
+from operator import eq, or_
 
 from .errors import InvalidSizeError
 
@@ -157,3 +159,27 @@ def complexity_class(kind: TopologyKind, metric: CostMetric | str) -> Complexity
 def add_host(t: NetworkTopology) -> NetworkTopology:
     """The same geometry with one more host; all derived counts follow."""
     return build_topology(t.kind, t.n_hosts + 1)
+
+
+def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
+    """The parts an exchange between hosts lo < hi holds for its step, which
+    no other exchange of the step may hold, as bits: the chain segments it
+    crosses (bit k joins hosts k and k+1), its own fcn-full cable (numbered
+    by high host, then low), or its two hosts."""
+    if kind is TopologyKind.LCH:
+        return (1 << hi) - (1 << lo)
+    if kind is TopologyKind.FCN_FULL:
+        return 1 << (hi - 1) * (hi - 2) // 2 + lo - 1
+    return 1 << lo | 1 << hi
+
+
+def part_held_twice(kind: TopologyKind, spans: list[tuple[int, int]]) -> bool:
+    """Whether two exchanges (lo, hi), lo <= hi, of one step hold the same
+    part, or one is a self-pair. A set of the hosts or pairs stands in for
+    host or cable bits, which for a cable lie up to n^2/2 places up."""
+    if kind is TopologyKind.LCH:
+        masks = [parts_held(kind, lo, hi) for lo, hi in spans]
+        return 0 in masks or sum(masks) != reduce(or_, masks, 0)
+    if kind is TopologyKind.FCN_FULL:
+        return len(set(spans)) < len(spans) or any(starmap(eq, spans))
+    return len(set(chain.from_iterable(spans))) < 2 * len(spans)

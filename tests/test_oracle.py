@@ -14,7 +14,7 @@ from kexnet.oracle import (
     overhead_table,
 )
 from kexnet.schedule import Schedule, validate_schedule
-from kexnet.topology import TopologyKind, build_topology
+from kexnet.topology import TopologyKind, build_topology, parts_held
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -165,7 +165,7 @@ def _start_depth(kind, n, monkeypatch):
     monkeypatch.setattr(oracle, "_cover", first_depth)
     pairs = build_topology(kind, n).pairs()
     with pytest.raises(_Started) as started:
-        oracle._min_cover([oracle._occupies(kind, lo, hi) for lo, hi in pairs])
+        oracle._min_cover([parts_held(kind, lo, hi) for lo, hi in pairs])
     return started.value.args[0]
 
 
@@ -208,7 +208,8 @@ def test_petersen_deepens_past_a_failed_bound(monkeypatch):
         return found
 
     monkeypatch.setattr(oracle, "_cover", recording_cover)
-    depth, steps = oracle._min_cover([[u, v] for u, v in PETERSEN])
+    masks = [parts_held(TopologyKind.STAR, *sorted(pair)) for pair in PETERSEN]
+    depth, steps = oracle._min_cover(masks)
     assert depth == len(steps) == 4
     assert tried == [(3, False), (4, True)]
     for step in steps:
