@@ -8,6 +8,7 @@ breaks it as host loads over capacity and chain spans that overlap."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -79,7 +80,8 @@ class ValidationReport:
     violations: tuple[Violation, ...] = field(default=())
 
 
-# A report lists at most this many missing pairs, then how many more there are.
+# A report lists at most this many missing pairs, then how many more there
+# are, and at most as many chain overlaps of one step.
 MISSING_PAIR_LINES = 100
 
 
@@ -103,24 +105,48 @@ def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
     return spans if bounded and not part_held_twice(t.kind, spans) else None
 
 
+def _overlap_count(spans: list[tuple[int, int]]) -> int:
+    """How many pairs of the spans overlap: all but those where one ends at
+    or before the other starts, counted on the sorted starts. A self-pair
+    lies apart from itself, and two of one host lie apart both ways."""
+    starts = sorted(lo for lo, _ in spans)
+    apart = sum(len(starts) - bisect_left(starts, hi) for _, hi in spans)
+    selfs = Counter(lo for lo, hi in spans if lo == hi).values()
+    apart -= sum(m * (m + 1) // 2 for m in selfs)
+    return len(spans) * (len(spans) - 1) // 2 - apart
+
+
 def _overlaps(index: int, exchanges: list) -> list[Violation]:
-    # Chain spans may touch at an endpoint host but not overlap inside.
+    """Each pair of exchanges whose chain spans overlap inside, not only at
+    an endpoint host, in exchange order: at most MISSING_PAIR_LINES of them,
+    then one line with the count of the rest."""
     exchanges = sorted(exchanges)
     spans = _spans(exchanges)
-    return [
+    found = (
         Violation(index, "lch-overlap", "(%s,%s) overlaps (%s,%s)" % (*x, *y))
         for i, (x, (lo, hi)) in enumerate(zip(exchanges, spans))
         for y, (lo2, hi2) in zip(exchanges[i + 1 :], spans[i + 1 :])
         if lo2 < hi and lo < hi2
-    ]
+    )
+    out = list(islice(found, MISSING_PAIR_LINES + 1))
+    if len(out) > MISSING_PAIR_LINES:
+        more = _overlap_count(spans) - MISSING_PAIR_LINES
+        out[-1] = Violation(index, "lch-overlap", f"{more} more overlaps")
+    return out
 
 
 def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     """The violations of a step that fails the fast accept, and its
-    exchanges of int hosts, which alone go on to the pair checks."""
-    hosts = list(chain.from_iterable(step.exchanges))
+    exchanges of two int hosts, which alone go on to the other checks."""
+    out, exchanges = [], []
+    for e in step.exchanges:
+        if hasattr(e, "__len__") and len(e) == 2:
+            exchanges.append(e)
+        else:
+            detail = f"exchange {e!r} is not two hosts"
+            out.append(Violation(step.index, "bad-exchange", detail))
+    hosts = list(chain.from_iterable(exchanges))
     load, cap = Counter(h for h in hosts if type(h) is int), t.exchangers_per_host
-    out = []
     for host in sorted(load):
         if not 1 <= host <= t.n_hosts:
             out.append(Violation(step.index, "unknown-host", f"host {host}"))
@@ -130,7 +156,7 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     # Any other value by its repr, be it True, 2.0 or an unhashable list.
     for other in sorted({repr(h) for h in hosts if type(h) is not int}):
         out.append(Violation(step.index, "unknown-host", f"host {other}"))
-    exchanges = [tuple(e) for e in step.exchanges if set(map(type, e)) == {int}]
+    exchanges = [tuple(e) for e in exchanges if set(map(type, e)) == {int}]
     if t.kind is TopologyKind.LCH:
         out.extend(_overlaps(step.index, exchanges))
     return out, exchanges
@@ -152,13 +178,16 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     """Check completeness and per-step feasibility; never raises.
 
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
-    ``capacity``, ``lch-overlap``, ``unknown-host``. A step whose index is
-    not its 1-based position gets one ``step-index`` violation. A host
-    that is not an int (``type(h) is int``, as the json parser requires)
-    in 1..n is an ``unknown-host``; an exchange holding a host that is not
-    an int takes no part in the other checks. Only a step whose exchanges
-    hold a part twice (``topology.parts_held``) has its host loads and
-    chain overlaps looked at. Duplicates are reported once per occurrence
+    ``capacity``, ``lch-overlap``, ``unknown-host``, ``bad-exchange``. A
+    step whose index is not its 1-based position gets one ``step-index``
+    violation. An exchange that is not two hosts is a ``bad-exchange``, and
+    a host that is not an int (``type(h) is int``, as the json parser
+    requires) in 1..n is an ``unknown-host``; such an exchange, or one
+    holding a host that is not an int, takes no part in the other checks.
+    Only a step whose exchanges hold a part twice (``topology.parts_held``)
+    has its host loads and chain overlaps looked at; its overlaps are
+    listed in exchange order, at most MISSING_PAIR_LINES of them, then one
+    "<count> more overlaps". Duplicates are reported once per occurrence
     beyond the first, with the offending step index. Missing pairs are
     listed in pair order, at most MISSING_PAIR_LINES of them, then one
     "<count> more pairs missing".

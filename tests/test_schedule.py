@@ -1,6 +1,8 @@
 import json
+import time
 import tracemalloc
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from kexnet.errors import AmbiguousStepError, ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
     MISSING_PAIR_LINES,
+    _overlap_count,
     HostRole,
     HostState,
     SbepStep,
@@ -25,7 +28,7 @@ from kexnet.serialize import (
     schedule_to_text,
     text_to_schedule,
 )
-from kexnet.topology import TopologyKind, build_topology
+from kexnet.topology import TopologyKind, build_topology, part_held_twice, parts_held
 
 
 def make_schedule(kind, n, steps):
@@ -327,6 +330,26 @@ def test_no_part_held_twice_breaks_no_step_rule(kind, n, pairs):
     assert not kinds & {"capacity", "unknown-host", "lch-overlap"}
 
 
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@given(pairs=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=10))
+def test_part_rule_is_the_written_out_one(kind, pairs):
+    spans = [tuple(sorted(p)) for p in pairs]
+    parts = [_parts(kind, lo, hi) for lo, hi in spans if lo != hi]
+    shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
+    assert part_held_twice(kind, spans) == (len(parts) < len(spans) or shared)
+    if kind is not TopologyKind.FCN_FULL:
+        for lo, hi in set(spans) - {(h, h) for h in range(10)}:
+            bits = parts_held(kind, lo, hi)
+            assert {b for b in range(10) if bits >> b & 1} == _parts(kind, lo, hi)
+
+
+def test_cables_are_distinct_bits():
+    pairs = build_topology(TopologyKind.FCN_FULL, 40).pairs()
+    cables = [parts_held(TopologyKind.FCN_FULL, lo, hi) for lo, hi in pairs]
+    assert len(set(cables)) == len(cables) and all(c.bit_count() == 1 for c in cables)
+    assert sorted(cables) == [1 << b for b in range(len(cables))]
+
+
 def test_validator_self_pair_not_counted():
     # Built directly, a self-pair passes capacity 2 and makes n(n-1)/2
     # distinct pairs with one real pair missing.
@@ -402,14 +425,27 @@ def test_non_int_host_beside_other_violations():
 
 
 def _capped(report):
-    """The reference report with its missing pairs cut to the report's cap."""
+    """The reference report cut to the report's caps: each step's chain
+    overlaps, and the missing pairs."""
     missing = [v for v in report.violations if v.kind == "missing-pair"]
     rest = report.violations[: len(report.violations) - len(missing)]
     more = len(missing) - MISSING_PAIR_LINES
     if more > 0:
         summary = Violation(None, "missing-pair", f"{more} more pairs missing")
         missing = missing[:MISSING_PAIR_LINES] + [summary]
-    return ValidationReport(report.ok, rest + tuple(missing))
+    return ValidationReport(report.ok, _capped_overlaps(rest) + tuple(missing))
+
+
+def _capped_overlaps(violations):
+    # One step's overlaps are a run of lch-overlap lines with its index.
+    out = []
+    for (kind, index), run in groupby(violations, lambda v: (v.kind, v.step_index)):
+        run = list(run)
+        if kind == "lch-overlap" and len(run) > MISSING_PAIR_LINES:
+            more = f"{len(run) - MISSING_PAIR_LINES} more overlaps"
+            run = run[:MISSING_PAIR_LINES] + [Violation(index, kind, more)]
+        out += run
+    return tuple(out)
 
 
 def test_missing_pairs_capped():
@@ -427,6 +463,82 @@ def test_missing_pairs_capped():
         assert validate_schedule(s) == _capped(_reference_validate(s)), (kind, n)
     assert _capped(_reference_validate(make_schedule(*cases[0]))).violations[-1] == (
         Violation(None, "missing-pair", "18 more pairs missing")
+    )
+
+
+def _every_pair_in_one_step(n):
+    return make_schedule(TopologyKind.LCH, n, [build_topology(TopologyKind.LCH, n).pairs()])
+
+
+def test_overlaps_capped():
+    long_and_units = lambda n: [[(1, n)] + [(i, i + 1) for i in range(1, n)]]
+    cases = [
+        (TopologyKind.LCH, 101, long_and_units(101)),  # exactly 100: no summary
+        (TopologyKind.LCH, 102, long_and_units(102)),  # 101: "1 more overlaps"
+        # Self-pairs inside spans, a pair given twice and reversed, and a
+        # host off the chain, beside a capped step.
+        (TopologyKind.LCH, 9, [[(5, 5), (5, 5), (1, 9), (9, 1), (4, 0)], *long_and_units(9)]),
+    ]
+    for kind, n, steps in cases:
+        s = make_schedule(kind, n, steps)
+        assert validate_schedule(s) == _capped(_reference_validate(s)), n
+    assert validate_schedule(make_schedule(*cases[1])).violations[100] == (
+        Violation(1, "lch-overlap", "1 more overlaps")
+    )
+    for n in (12, 20):
+        s = _every_pair_in_one_step(n)
+        assert validate_schedule(s) == _capped(_reference_validate(s))
+
+
+def test_overlap_report_bounded():
+    # 4,950 pairs in one step overlap 8,165,850 times; uncapped, the report
+    # took about 30 s.
+    start = time.perf_counter()
+    report = validate_schedule(_every_pair_in_one_step(100))
+    assert time.perf_counter() - start < 2
+    overlaps = [v for v in report.violations if v.kind == "lch-overlap"]
+    assert len(overlaps) == MISSING_PAIR_LINES + 1
+    assert overlaps[-1].detail == f"{8_165_850 - MISSING_PAIR_LINES} more overlaps"
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60),
+)
+def test_capped_overlaps_match_reference(n, pairs):
+    # Self-pairs, reversed and repeated pairs and hosts off the chain, in a
+    # step with up to 1,770 overlaps.
+    s = make_schedule(TopologyKind.LCH, n, [pairs])
+    assert validate_schedule(s) == _capped(_reference_validate(s))
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted), max_size=40))
+def test_overlap_count_matches_pairwise(spans):
+    spans = [tuple(p) for p in spans]
+    pairwise = sum(
+        not (hi1 <= lo2 or hi2 <= lo1)
+        for i, (lo1, hi1) in enumerate(spans)
+        for lo2, hi2 in spans[i + 1 :]
+    )
+    assert _overlap_count(spans) == pairwise
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_exchange_not_two_hosts(kind):
+    # Each is reported once and, like a host that is not an int, takes no
+    # part in the other checks: it loads no host and names no pair.
+    t = build_topology(kind, 3)
+    s = Schedule(t, (SbepStep(1, ((1, 2, 3),)),))
+    assert validate_schedule(s).violations[0] == Violation(
+        1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"
+    )
+    steps = [((1, 2, 3), (1, 2)), ((1,), (1, 3), 5), ((2, 3),)]
+    s = Schedule(t, tuple(SbepStep(i, e) for i, e in enumerate(steps, 1)))
+    assert validate_schedule(s).violations == (
+        Violation(1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"),
+        Violation(2, "bad-exchange", "exchange (1,) is not two hosts"),
+        Violation(2, "bad-exchange", "exchange 5 is not two hosts"),
     )
 
 
