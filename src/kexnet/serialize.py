@@ -11,8 +11,8 @@ supplied separately. The JSON format is self-describing::
     {"topology": {"kind": "star", "n_hosts": 5},
      "steps": [[[1, 2], [3, 4]], ...]}
 
-Both formats round-trip bit-exactly. Host ids are integers; any other
-input raises ScheduleFormatError.
+Both formats round-trip bit-exactly. Host ids are integers, in ASCII
+digits in the text format; any other input raises ScheduleFormatError.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import ScheduleFormatError
 from .schedule import SbepStep, Schedule
 from .topology import TopologyKind, build_topology, NetworkTopology
 
-_STEP_RE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
+_STEP_RE = re.compile(r"^step [0-9]+:(?: \([0-9]+,[0-9]+\))*$")
 # Past _STEP_RE and the "step " prefix, a line's ids lie between these marks.
 _ID_MARKS = str.maketrans(":(,)", "    ")
 # One pair as json.dumps(indent=2) lays it out inside a step, after the first.

@@ -138,8 +138,8 @@ def test_json_bad_host_count_rejected(n_hosts):
 
 # --- the per-pair writers and the regex id parser, kept as the references ----
 
-_STEP_LINE = re.compile(r"^step \d+:(?: \(\d+,\d+\))*$")
-_REFERENCE_ID_RE = re.compile(r"\d+")
+_STEP_LINE = re.compile(r"^step [0-9]+:(?: \([0-9]+,[0-9]+\))*$")
+_REFERENCE_ID_RE = re.compile(r"[0-9]+")
 _REFERENCE_JSON_PAIR = "[\n        %s,\n        %s\n      ]"
 
 
@@ -247,14 +247,14 @@ _TEXT_CASES = {
         "step 1: (1,2) (3,3)",
         "host 3 cannot exchange with itself in line 'step 1: (1,2) (3,3)'",
     ),
-    # Arabic-Indic digits are decimal digits, so they read as ids.
+    # Arabic-Indic digits are decimal digits, but ids are ASCII digits only,
+    # as in the json format.
     "unicode self-pair": (
-        "step 1: (\u0663,3)",
-        "host 3 cannot exchange with itself in line 'step 1: (\u0663,3)'",
+        "step 1: (\u0663,3)", "malformed schedule line: 'step 1: (\u0663,3)'"
     ),
     "unicode digits": (
         "step \u0661: (\u0661,\u0662)",
-        Schedule(build_topology(TopologyKind.STAR, 3), (SbepStep(1, ((1, 2),)),)),
+        "malformed schedule line: 'step \u0661: (\u0661,\u0662)'",
     ),
 }
 
