@@ -1,7 +1,8 @@
 """Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
 
-One benchmark per row of that table, plus the fcn1 generator and the text
-writer that the star round trip also runs. Each times one layer call in
+One benchmark per row of that table, plus the fcn1 generator, the text
+writer that the star round trip also runs and the validator on the chain
+schedule at n=256. Each times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
 oracle and four CLI commands. ``test_star_roundtrip`` and
 ``test_star_roundtrip_text`` time the whole star round trip at n=400
@@ -43,9 +44,12 @@ def test_generate_fcn_single(benchmark):
     benchmark(protocols.generate_fcn_single, 400)
 
 
-@pytest.mark.parametrize("kind", [STAR, TopologyKind.FCN_FULL])
-def test_validate_schedule(benchmark, kind):
-    schedule = protocols.generate_schedule(kind, 400)
+@pytest.mark.parametrize(
+    "kind,n", [(STAR, 400), (TopologyKind.FCN_FULL, 400), (TopologyKind.LCH, 256)],
+    ids=["star", "fcn-full", "lch"],
+)
+def test_validate_schedule(benchmark, kind, n):
+    schedule = protocols.generate_schedule(kind, n)
     assert benchmark(validate_schedule, schedule).ok
 
 
