@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, count, filterfalse, islice, repeat
 from typing import NamedTuple
 
 from .errors import AmbiguousStepError
@@ -162,15 +162,14 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     return out, exchanges
 
 
-def _duplicates(steps: list[tuple[int, list]]) -> list[Violation]:
+def _duplicates(spans: list[tuple[int, int]], steps: list[int]) -> list[Violation]:
     """Each pair given again, in the step of each occurrence beyond the first."""
     first, out = {}, []
-    for index, spans in steps:
-        for p in spans:
-            if p in first:
-                detail = "(%s,%s) already exchanged in step %s" % (*p, first[p])
-                out.append(Violation(index, "duplicate-pair", detail))
-            first.setdefault(p, index)
+    for p, index in zip(spans, steps):
+        if p in first:
+            detail = "(%s,%s) already exchanged in step %s" % (*p, first[p])
+            out.append(Violation(index, "duplicate-pair", detail))
+        first.setdefault(p, index)
     return out
 
 
@@ -194,7 +193,10 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     """
     t = s.topology
     violations: list[Violation] = []
-    steps = []
+    # Every span in order with its step's index, in two flat lists: no
+    # object per step outlives the step for the cyclic collector to visit.
+    all_spans: list[tuple[int, int]] = []
+    span_steps: list[int] = []
     for position, step in enumerate(s.steps, 1):
         if step.index != position:
             violations.append(
@@ -205,10 +207,11 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             found, exchanges = _step_violations(step, t)
             violations.extend(found)
             spans = _spans(exchanges)
-        steps.append((step.index, spans))
-    seen = dict.fromkeys(chain.from_iterable(spans for _, spans in steps))
-    if len(seen) < sum(len(spans) for _, spans in steps):
-        violations.extend(_duplicates(steps))
+        all_spans += spans
+        span_steps += repeat(step.index, len(spans))
+    seen = dict.fromkeys(all_spans)
+    if len(seen) < len(all_spans):
+        violations.extend(_duplicates(all_spans, span_steps))
     # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
     # n(n-1)/2 distinct pairs are all the pairs.
     n, hosts = t.n_hosts, t.hosts()
