@@ -338,7 +338,7 @@ def test_part_rule_is_the_written_out_one(kind, pairs):
     shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
     assert part_held_twice(kind, spans) == (len(parts) < len(spans) or shared)
     if kind is not TopologyKind.FCN_FULL:
-        for lo, hi in set(spans) - {(h, h) for h in range(10)}:
+        for lo, hi in {(lo, hi) for lo, hi in spans if lo < hi}:
             bits = parts_held(kind, lo, hi)
             assert {b for b in range(10) if bits >> b & 1} == _parts(kind, lo, hi)
 
@@ -346,7 +346,6 @@ def test_part_rule_is_the_written_out_one(kind, pairs):
 def test_cables_are_distinct_bits():
     pairs = build_topology(TopologyKind.FCN_FULL, 40).pairs()
     cables = [parts_held(TopologyKind.FCN_FULL, lo, hi) for lo, hi in pairs]
-    assert len(set(cables)) == len(cables) and all(c.bit_count() == 1 for c in cables)
     assert sorted(cables) == [1 << b for b in range(len(cables))]
 
 
