@@ -8,7 +8,7 @@ breaks it as host loads over capacity and chain spans that overlap."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -105,32 +105,26 @@ def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
     return spans if bounded and not part_held_twice(t.kind, spans) else None
 
 
-def _overlap_count(spans: list[tuple[int, int]]) -> int:
-    """How many pairs of the spans overlap: all but those where one ends at
-    or before the other starts, counted on the sorted starts. A self-pair
-    lies apart from itself, and two of one host lie apart both ways."""
-    starts = sorted(lo for lo, _ in spans)
-    apart = sum(len(starts) - bisect_left(starts, hi) for _, hi in spans)
-    selfs = Counter(lo for lo, hi in spans if lo == hi).values()
-    apart -= sum(m * (m + 1) // 2 for m in selfs)
-    return len(spans) * (len(spans) - 1) // 2 - apart
-
-
 def _overlaps(index: int, exchanges: list) -> list[Violation]:
     """Each pair of exchanges whose chain spans overlap inside, not only at
     an endpoint host, in exchange order: at most MISSING_PAIR_LINES of them,
-    then one line with the count of the rest."""
+    then one line with the count of the rest. A span overlaps the spans that
+    start before it ends, less those that end by its start and itself; only
+    spans that overlap another are paired up."""
     exchanges = sorted(exchanges)
     spans = _spans(exchanges)
+    starts, ends = sorted(lo for lo, _ in spans), sorted(hi for _, hi in spans)
+    counts = [bisect_left(starts, hi) - bisect_right(ends, lo) - 1 for lo, hi in spans]
+    inside = [(x, span) for x, span, c in zip(exchanges, spans, counts) if c]
     found = (
         Violation(index, "lch-overlap", "(%s,%s) overlaps (%s,%s)" % (*x, *y))
-        for i, (x, (lo, hi)) in enumerate(zip(exchanges, spans))
-        for y, (lo2, hi2) in zip(exchanges[i + 1 :], spans[i + 1 :])
+        for i, (x, (lo, hi)) in enumerate(inside)
+        for y, (lo2, hi2) in inside[i + 1 :]
         if lo2 < hi and lo < hi2
     )
     out = list(islice(found, MISSING_PAIR_LINES + 1))
     if len(out) > MISSING_PAIR_LINES:
-        more = _overlap_count(spans) - MISSING_PAIR_LINES
+        more = sum(counts) // 2 - MISSING_PAIR_LINES
         out[-1] = Violation(index, "lch-overlap", f"{more} more overlaps")
     return out
 
@@ -140,7 +134,10 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     exchanges of two int hosts, which alone go on to the other checks."""
     out, exchanges = [], []
     for e in step.exchanges:
-        if hasattr(e, "__len__") and len(e) == 2:
+        # The exchange rule: two hosts, and one int host twice is not two.
+        if hasattr(e, "__len__") and len(e) == 2 and (
+            set(map(type, e)) != {int} or len(set(e)) == 2
+        ):
             exchanges.append(e)
         else:
             detail = f"exchange {e!r} is not two hosts"
@@ -179,10 +176,11 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``, ``bad-exchange``. A
     step whose index is not its 1-based position gets one ``step-index``
-    violation. An exchange that is not two hosts is a ``bad-exchange``, and
-    a host that is not an int (``type(h) is int``, as the json parser
-    requires) in 1..n is an ``unknown-host``; such an exchange, or one
-    holding a host that is not an int, takes no part in the other checks.
+    violation. An exchange that is not two hosts, one int host twice among
+    them, is a ``bad-exchange``, and a host that is not an int (``type(h)
+    is int``, as the json parser requires) in 1..n is an ``unknown-host``;
+    such an exchange, or one holding a host that is not an int, takes no
+    part in the other checks.
     Only a step whose exchanges hold a part twice (``topology.parts_held``)
     has its host loads and chain overlaps looked at; its overlaps are
     listed in exchange order, at most MISSING_PAIR_LINES of them, then one
@@ -212,18 +210,18 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     seen = dict.fromkeys(all_spans)
     if len(seen) < len(all_spans):
         violations.extend(_duplicates(all_spans, span_steps))
-    # With no violation (all hosts in 1..n, no pair twice) and no self-pair,
-    # n(n-1)/2 distinct pairs are all the pairs.
-    n, hosts = t.n_hosts, t.hosts()
+    # With no violation (all hosts in 1..n, no pair twice), n(n-1)/2
+    # distinct pairs are all the pairs.
+    n = t.n_hosts
     total = n * (n - 1) // 2
-    if violations or len(seen) != total or not seen.keys().isdisjoint(zip(hosts, hosts)):
+    if violations or len(seen) != total:
         # The walk stops one pair past the cap: at most cap + len(seen) pairs.
         unseen = filterfalse(seen.__contains__, t.pairs())
         missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
         for p in missing[:MISSING_PAIR_LINES]:
             violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
         if len(missing) > MISSING_PAIR_LINES:
-            present = sum(1 <= lo < hi <= n for lo, hi in seen)
+            present = sum(1 <= lo and hi <= n for lo, hi in seen)
             more = f"{total - present - MISSING_PAIR_LINES} more pairs missing"
             violations.append(Violation(None, "missing-pair", more))
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -11,7 +11,6 @@ from kexnet.errors import AmbiguousStepError, ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
     MISSING_PAIR_LINES,
-    _overlap_count,
     HostRole,
     HostState,
     SbepStep,
@@ -215,18 +214,25 @@ def _step_interval_violations(step, t):
 
 def _reference_validate(s):
     t = s.topology
-    violations = []
+    violations, steps = [], []
     for position, step in enumerate(s.steps, 1):
         if step.index != position:
             violations.append(
                 Violation(step.index, "step-index", f"expected index {position}")
             )
+        # One host twice is not an exchange, and takes no part in the rest.
+        for a, b in step.exchanges:
+            if a == b:
+                detail = f"exchange {(a, b)!r} is not two hosts"
+                violations.append(Violation(step.index, "bad-exchange", detail))
+        step = SbepStep(step.index, tuple((a, b) for a, b in step.exchanges if a != b))
+        steps.append(step)
         violations.extend(_reference_capacity_violations(step, t))
         if t.kind is TopologyKind.LCH:
             violations.extend(_step_interval_violations(step, t))
 
     seen = {}
-    for step in s.steps:
+    for step in steps:
         for a, b in step.exchanges:
             p = (min(a, b), max(a, b))
             if p in seen:
@@ -350,18 +356,31 @@ def test_cables_are_distinct_bits():
 
 
 def test_validator_self_pair_not_counted():
-    # Built directly, a self-pair passes capacity 2 and makes n(n-1)/2
-    # distinct pairs with one real pair missing.
-    for kind, steps in [
-        (TopologyKind.FCN_FULL, [[(1, 2), (1, 3)], [(2, 2)]]),
-        (TopologyKind.LCH, [[(1, 2)], [(1, 3)], [(3, 3)]]),
+    # Built directly, a self-pair is one bad exchange: it loads no host and
+    # stands for no pair, so one real pair is missing.
+    for kind, steps, bad in [
+        (TopologyKind.FCN_FULL, [[(1, 2), (1, 3)], [(2, 2)]], "(2, 2)"),
+        (TopologyKind.LCH, [[(1, 2)], [(1, 3)], [(3, 3)]], "(3, 3)"),
     ]:
         s = make_schedule(kind, 3, steps)
         report = validate_schedule(s)
         assert report == _reference_validate(s)
-        assert report.violations == (Violation(None, "missing-pair", "(2,3)"),)
+        assert report.violations == (
+            Violation(len(steps), "bad-exchange", f"exchange {bad} is not two hosts"),
+            Violation(None, "missing-pair", "(2,3)"),
+        )
 
 
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_self_pair_added_is_one_bad_exchange(kind):
+    # Added to a valid schedule, in a step of its own or beside the first
+    # step's exchanges, a self-pair is reported once and nothing else: no
+    # capacity line on fcn-full, and not ok on the chain.
+    first, *rest = [step.exchanges for step in generate_schedule(kind, 4).steps]
+    for steps, at in [([first, *rest, [(3, 3)]], len(rest) + 2), ([[*first, (3, 3)], *rest], 1)]:
+        report = validate_schedule(make_schedule(kind, 4, steps))
+        bad = Violation(at, "bad-exchange", "exchange (3, 3) is not two hosts")
+        assert report == ValidationReport(False, (bad,))
 @pytest.mark.parametrize("kind", list(TopologyKind))
 def test_non_int_host_is_unknown(kind):
     # Through from_pairs or built directly, a host that is not an int is an
@@ -512,15 +531,30 @@ def test_capped_overlaps_match_reference(n, pairs):
     assert validate_schedule(s) == _capped(_reference_validate(s))
 
 
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted), max_size=40))
-def test_overlap_count_matches_pairwise(spans):
-    spans = [tuple(p) for p in spans]
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    pairs=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda p: p[0] != p[1]),
+        min_size=15,
+        max_size=60,
+    ),
+)
+def test_overlap_count_matches_pairwise(n, pairs):
+    # Past the cap, the summary line counts the overlaps not listed, against
+    # a count of every pair of spans, hosts off the chain among them.
+    s = make_schedule(TopologyKind.LCH, n, [pairs])
+    spans = [tuple(sorted(p)) for p in pairs]
     pairwise = sum(
         not (hi1 <= lo2 or hi2 <= lo1)
         for i, (lo1, hi1) in enumerate(spans)
         for lo2, hi2 in spans[i + 1 :]
     )
-    assert _overlap_count(spans) == pairwise
+    overlaps = [v.detail for v in validate_schedule(s).violations if v.kind == "lch-overlap"]
+    if pairwise > MISSING_PAIR_LINES:
+        assert overlaps[-1] == f"{pairwise - MISSING_PAIR_LINES} more overlaps"
+    else:
+        assert len(overlaps) == pairwise
 
 
 @pytest.mark.parametrize("kind", list(TopologyKind))
@@ -532,12 +566,15 @@ def test_exchange_not_two_hosts(kind):
     assert validate_schedule(s).violations[0] == Violation(
         1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"
     )
-    steps = [((1, 2, 3), (1, 2)), ((1,), (1, 3), 5), ((2, 3),)]
+    # One host twice is not two hosts, nor an unknown host when off the network.
+    steps = [((1, 2, 3), (1, 2)), ((1,), (1, 3), 5), ((2, 3), (2, 2), (9, 9))]
     s = Schedule(t, tuple(SbepStep(i, e) for i, e in enumerate(steps, 1)))
     assert validate_schedule(s).violations == (
         Violation(1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"),
         Violation(2, "bad-exchange", "exchange (1,) is not two hosts"),
         Violation(2, "bad-exchange", "exchange 5 is not two hosts"),
+        Violation(3, "bad-exchange", "exchange (2, 2) is not two hosts"),
+        Violation(3, "bad-exchange", "exchange (9, 9) is not two hosts"),
     )
 
 
