@@ -67,16 +67,21 @@ _COMPLEXITY: dict[TopologyKind, dict[CostMetric, ComplexityClass]] = {
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """A concrete network: geometry kind plus host count.
-
-    ``exchangers_per_host`` and ``has_center_switch`` are derived from the
-    kind and stored for convenience; use :func:`build_topology` to construct.
-    """
+    """A concrete network: geometry kind plus host count. Use
+    :func:`build_topology` to construct."""
 
     kind: TopologyKind
     n_hosts: int
-    exchangers_per_host: int
-    has_center_switch: bool
+
+    @property
+    def exchangers_per_host(self) -> int:
+        if self.kind is TopologyKind.FCN_FULL:
+            return self.n_hosts - 1
+        return 2 if self.kind is TopologyKind.LCH else 1
+
+    @property
+    def has_center_switch(self) -> bool:
+        return self.kind is TopologyKind.STAR
 
     def hosts(self) -> range:
         """1-based host indices."""
@@ -102,14 +107,6 @@ class CostProfile:
     class_time: ComplexityClass
 
 
-def _exchangers_per_host(kind: TopologyKind, n: int) -> int:
-    if kind is TopologyKind.FCN_FULL:
-        return n - 1
-    if kind is TopologyKind.LCH:
-        return 2
-    return 1
-
-
 def build_topology(kind: TopologyKind, n: int) -> NetworkTopology:
     """Build a topology of ``kind`` with ``n`` hosts.
 
@@ -117,12 +114,7 @@ def build_topology(kind: TopologyKind, n: int) -> NetworkTopology:
     """
     if n < 2:
         raise InvalidSizeError(f"a network needs at least 2 hosts, got {n}")
-    return NetworkTopology(
-        kind=kind,
-        n_hosts=n,
-        exchangers_per_host=_exchangers_per_host(kind, n),
-        has_center_switch=kind is TopologyKind.STAR,
-    )
+    return NetworkTopology(kind, n)
 
 
 def cost_profile(t: NetworkTopology) -> CostProfile:
@@ -133,18 +125,14 @@ def cost_profile(t: NetworkTopology) -> CostProfile:
     counted separately).
     """
     n = t.n_hosts
-    if t.kind is TopologyKind.FCN_FULL:
-        cables, kes = n * (n - 1) // 2, n * (n - 1)
-    elif t.kind is TopologyKind.FCN_SINGLE:
-        cables, kes = n * (n - 1) // 2, n
-    elif t.kind is TopologyKind.LCH:
-        cables, kes = n - 1, 2 * n
+    if t.kind in (TopologyKind.FCN_FULL, TopologyKind.FCN_SINGLE):
+        cables = n * (n - 1) // 2
     else:
-        cables, kes = n, n
+        cables = n - 1 if t.kind is TopologyKind.LCH else n
     return CostProfile(
         cable_count=cables,
-        exchanger_count=kes,
-        center_switch_count=1 if t.has_center_switch else 0,
+        exchanger_count=n * t.exchangers_per_host,
+        center_switch_count=int(t.has_center_switch),
         class_cable=complexity_class(t.kind, CostMetric.CABLE),
         class_ke=complexity_class(t.kind, CostMetric.KE),
         class_time=complexity_class(t.kind, CostMetric.TIME),
