@@ -1,8 +1,9 @@
 """Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
 
 One benchmark per row of that table, plus the fcn1 generator, the text
-writer that the star round trip also runs and the validator on the chain
-schedule at n=256. Each times one layer call in
+writer that the star round trip also runs, the validator on the chain
+schedule at n=256 and on one failing chain step of 4,000 exchanges. Each
+times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
 oracle and four CLI commands. ``test_star_roundtrip`` and
 ``test_star_roundtrip_text`` time the whole star round trip at n=400
@@ -59,6 +60,15 @@ def test_validate_schedule_missing_pair(benchmark, star400):
     schedule = Schedule.from_pairs(star400.topology, [first[1:], *rest])
     report = benchmark(validate_schedule, schedule)
     assert [v.kind for v in report.violations] == ["missing-pair"]
+
+
+def test_validate_schedule_failing_chain_step(benchmark):
+    # One step (0,1) (1,2) ... (3999,4000) on a chain of 4,000 hosts: host 0
+    # makes it fail, and its spans, which overlap none, are not paired up.
+    topology = build_topology(TopologyKind.LCH, 4000)
+    schedule = Schedule.from_pairs(topology, [[(h, h + 1) for h in range(4000)]])
+    report = benchmark(validate_schedule, schedule)
+    assert report.violations[0].detail == "host 0"
 
 
 def _star_roundtrip(n):

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,20 @@ def test_validate_empty_star600_capped(tmp_path, capsys):
     assert all(line.startswith("step -: missing-pair: ") for line in lines[1:])
     assert lines[1:101] == [f"step -: missing-pair: (1,{b})" for b in range(2, 102)]
     assert lines[101] == "step -: missing-pair: 179600 more pairs missing"
+
+
+def test_validate_failing_chain_step_bounded(tmp_path, capsys):
+    # One step (0,1) (1,2) ... (19999,20000) on a chain of 20,000 hosts: host
+    # 0 makes it fail, and its spans, which overlap none, are not paired up.
+    path = tmp_path / "chain.txt"
+    path.write_text("step 1:" + "".join(f" ({h},{h + 1})" for h in range(20000)) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "validate", "--in", str(path), "--topology", "lch", "--n", "20000"
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (3, "")
+    assert out.splitlines()[:2] == ["invalid", "step 1: unknown-host: host 0"]
 
 
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
