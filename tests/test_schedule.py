@@ -220,7 +220,7 @@ def _reference_validate(s):
             violations.append(
                 Violation(step.index, "step-index", f"expected index {position}")
             )
-        # One host twice is not an exchange, and takes no part in the rest.
+        # One host twice is not an exchange and takes no part in the rest.
         for a, b in step.exchanges:
             if a == b:
                 detail = f"exchange {(a, b)!r} is not two hosts"
@@ -381,6 +381,8 @@ def test_self_pair_added_is_one_bad_exchange(kind):
         report = validate_schedule(make_schedule(kind, 4, steps))
         bad = Violation(at, "bad-exchange", "exchange (3, 3) is not two hosts")
         assert report == ValidationReport(False, (bad,))
+
+
 @pytest.mark.parametrize("kind", list(TopologyKind))
 def test_non_int_host_is_unknown(kind):
     # Through from_pairs or built directly, a host that is not an int is an
