@@ -67,7 +67,8 @@ _COMPLEXITY: dict[TopologyKind, dict[CostMetric, ComplexityClass]] = {
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """A concrete network: geometry kind plus host count. Use
+    """A concrete network: geometry kind plus host count, from which the
+    exchangers per host and the center switch follow. Use
     :func:`build_topology` to construct."""
 
     kind: TopologyKind
