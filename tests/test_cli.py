@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import pathlib
@@ -548,3 +549,82 @@ def test_tabular_matches_reference(table, fmt):
     records = [dict(zip(names, row)) for row in rows]
     columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     assert cli._tabular(fmt, columns) == _reference_tabular(fmt, records)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's exit 2
+        return exc.code
+
+
+STAR6_JSON = ["schedule", "--topology", "star", "--n", "6", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["formula", "--range", "2..20"], 0),
+        (["schedule", "--topology", "star", "--n", "6"], 0),
+        (STAR6_JSON, 0),
+        (["validate", "--in", "s.json"], 0),
+        (["validate", "--in", "bad.txt", "--topology", "star", "--n", "3"], 3),
+        (["validate", "--in", "missing.json"], 3),
+        (["compare", "--n", "10", "--format", "json"], 0),
+        (["oracle", "--topology", "lch", "--n", "6"], 0),
+        (
+            ["simulate", "--topology", "star", "--n", "6", "--k", "3",
+             "--fail", "cable:2@2", "--fail", "ke:4@5", "--format", "json"],
+            0,
+        ),
+        (["regress", "--plot", "fit.svg"], 0),
+        (["schedule", "--topology", "ring", "--n", "5"], 2),
+        (["formula", "--range", "5..3"], 2),
+    ],
+    ids=[
+        "formula-range", "schedule-text", "schedule-json", "validate-ok",
+        "validate-invalid", "validate-missing", "compare-json", "oracle-lch",
+        "simulate-two-failures", "regress-plot", "argparse-error", "usage-error",
+    ],
+)
+def test_commands_leave_no_kexnet_cycles(argv, code, tmp_path, monkeypatch, capsys):
+    # main pauses the collector, so what a command leaves in cycles waits for
+    # a later collection; none of it may be a kexnet object.
+    monkeypatch.chdir(tmp_path)
+    main(STAR6_JSON + ["--out", "s.json"])
+    (tmp_path / "bad.txt").write_text("step 1: (1,2)\nstep 2: (1,2)\n")
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        got = _exit_code(argv)
+        gc.collect()
+        ours = [o for o in gc.garbage if type(o).__module__.startswith("kexnet")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert got == code
+    assert ours == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["formula", "--n", "5"], 0),
+        (["formula", "--bogus"], 2),
+        (["formula", "--n", "1"], 2),
+        (["validate", "--in", "missing.json"], 3),
+    ],
+    ids=["ok", "argparse-error", "usage-error", "domain-error"],
+)
+def test_main_restores_collector(argv, code, enabled, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got = _exit_code(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert (got, after) == (code, enabled)
