@@ -135,9 +135,11 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     out, exchanges = [], []
     for e in step.exchanges:
         # The exchange rule: two hosts, and one int host twice is not two.
-        if hasattr(e, "__len__") and len(e) == 2 and (
-            set(map(type, e)) != {int} or len(set(e)) == 2
-        ):
+        try:
+            two = len(e) == 2 and (set(map(type, e)) != {int} or len(set(e)) == 2)
+        except TypeError:  # not sized, or sized but not iterable
+            two = False
+        if two:
             exchanges.append(e)
         else:
             detail = f"exchange {e!r} is not two hosts"

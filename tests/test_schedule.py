@@ -580,6 +580,26 @@ def test_exchange_not_two_hosts(kind):
     )
 
 
+class _SizedNotIterable:
+    def __len__(self):
+        return 2
+
+    def __repr__(self):
+        return "E()"
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_exchange_sized_not_iterable(kind):
+    # Its length is 2, yet it holds no hosts: one bad exchange, no raise.
+    t = build_topology(kind, 3)
+    s = Schedule(t, (SbepStep(1, ((1, 2), _SizedNotIterable())),))
+    assert validate_schedule(s).violations == (
+        Violation(1, "bad-exchange", "exchange E() is not two hosts"),
+        Violation(None, "missing-pair", "(1,3)"),
+        Violation(None, "missing-pair", "(2,3)"),
+    )
+
+
 def test_missing_pairs_walk_bounded():
     # 5 * 10**9 pairs, none present: only the first 101 are visited.
     report = validate_schedule(make_schedule(TopologyKind.STAR, 10**5, []))
