@@ -7,7 +7,11 @@ times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
 oracle and four CLI commands. ``test_star_roundtrip`` and
 ``test_star_roundtrip_text`` time the whole star round trip at n=400
-(generate, write, parse, validate) in each format as one number.
+(generate, write, parse, validate) in each format as one number, and
+``test_cli_star_roundtrip`` times it as two commands, ``schedule`` then
+``validate``, through ``cli.main``. pytest-benchmark leaves the cyclic
+garbage collector on, so the library rows still pay for the collector
+passes that a CLI command, which pauses it, no longer does.
 Inputs are built outside the timed call. Run from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
@@ -178,3 +182,13 @@ def test_cli_validate_empty_star600(benchmark, tmp_path):
     path.write_text(json.dumps({"topology": {"kind": "star", "n_hosts": 600}, "steps": []}))
     argv = ["validate", "--in", str(path), "--out", str(tmp_path / "report.txt")]
     assert benchmark(main, argv) == 3
+
+
+def _cli_star_roundtrip(path):
+    schedule = ["schedule", "--topology", "star", "--n", "400", "--format", "json"]
+    return main([*schedule, "--out", path]), main(["validate", "--in", path])
+
+
+def test_cli_star_roundtrip(benchmark, tmp_path):
+    # The largest star of the star-roundtrip workload, written and read back.
+    assert benchmark(_cli_star_roundtrip, str(tmp_path / "star400.json")) == (0, 0)
