@@ -29,18 +29,12 @@ from .protocols import (
     generate_lch,
     generate_schedule,
     generate_star,
-    merge_budget,
-    raw_distance_steps,
     sbep_formula,
 )
 from .schedule import (
-    HostRole,
-    HostState,
     SbepStep,
     Schedule,
     ValidationReport,
-    host_states,
-    pair_coverage,
     validate_schedule,
 )
 from .simengine import SimConfig, SimReport, run, utilization_profile
@@ -50,7 +44,6 @@ from .topology import (
     CostProfile,
     NetworkTopology,
     TopologyKind,
-    add_host,
     build_topology,
     complexity_class,
     cost_profile,

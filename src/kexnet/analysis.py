@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import DegenerateFitError, InvalidScenarioError
@@ -104,9 +104,7 @@ FailureScenario = CableFailure | KeyExchangerFailure | CenterSwitchFailure
 @dataclass(frozen=True)
 class ConnectivityReport:
     reachable_pairs: frozenset[tuple[int, int]]
-    isolated_hosts: frozenset[int]
-    components: tuple[frozenset[int], ...]
-    degraded_hosts: frozenset[int] = field(default=frozenset())
+    degraded_hosts: frozenset[int]
 
 
 def _destroyed(t: NetworkTopology, f: FailureScenario) -> tuple[str, object]:
@@ -189,38 +187,8 @@ def capable_pairs(
 def apply_failures(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> ConnectivityReport:
-    """Connectivity after removing the damaged components.
-
-    Components are the connected components of the still-capable-pair
-    graph; isolated hosts are its singleton components.
-    """
-    ok, degraded = capable_pairs(t, failures)
-    adj: dict[int, set[int]] = {h: set() for h in t.hosts()}
-    for a, b in ok:
-        adj[a].add(b)
-        adj[b].add(a)
-    components = []
-    seen: set[int] = set()
-    for h in t.hosts():
-        if h in seen:
-            continue
-        comp = {h}
-        frontier = [h]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
-    isolated = frozenset(h for comp in components for h in comp if len(comp) == 1)
-    return ConnectivityReport(
-        reachable_pairs=ok,
-        isolated_hosts=isolated,
-        components=tuple(components),
-        degraded_hosts=degraded,
-    )
+    """Connectivity after removing the damaged components."""
+    return ConnectivityReport(*capable_pairs(t, failures))
 
 
 def apply_failure(t: NetworkTopology, f: FailureScenario) -> ConnectivityReport:

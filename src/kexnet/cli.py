@@ -146,7 +146,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.infile, encoding="utf-8") as fh:
+        with open(args.infile, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ScheduleFormatError(f"{args.infile} is not UTF-8 text") from exc

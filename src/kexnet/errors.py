@@ -15,10 +15,6 @@ class InvalidSizeError(KexnetError):
     """Network size below the minimum of 2 hosts."""
 
 
-class AmbiguousStepError(KexnetError):
-    """A host appears in more than one exchange of a capacity-1 step."""
-
-
 class ProtocolConstructionError(KexnetError):
     """The residual-merging search could not reach the required step count."""
 

@@ -12,11 +12,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, count, filterfalse, islice, repeat
 from typing import NamedTuple
 
-from .errors import AmbiguousStepError
 from .topology import NetworkTopology, TopologyKind, part_held_twice
 
 
@@ -44,27 +42,6 @@ class Schedule:
             if a == b:
                 raise ValueError(f"host {a} cannot exchange with itself")
         return cls(topology, tuple(map(SbepStep, count(1), built)))
-
-    def all_exchanges(self) -> list[tuple[int, int]]:
-        return [e for step in self.steps for e in step.exchanges]
-
-
-class HostRole(str, Enum):
-    INITIATOR = "initiator"
-    UTILIZED = "utilized"
-    INACTIVE = "inactive"
-
-
-@dataclass(frozen=True)
-class HostState:
-    """What one host is doing during one step.
-
-    ``peer`` is the exchange partner for initiator/utilized hosts, None for
-    inactive ones.
-    """
-
-    role: HostRole
-    peer: int | None = None
 
 
 @dataclass(frozen=True)
@@ -228,31 +205,3 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             violations.append(Violation(None, "missing-pair", more))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
-
-def host_states(step: SbepStep, n: int) -> dict[int, HostState]:
-    """Per-host activity map for one step of a capacity-1 schedule.
-
-    Raises AmbiguousStepError if a host takes part in two exchanges, since
-    the initiator/utilized/inactive model assumes one exchanger per host.
-    """
-    states: dict[int, HostState] = {}
-    for a, b in step.exchanges:
-        for h in (a, b):
-            if h in states:
-                raise AmbiguousStepError(
-                    f"host {h} appears in more than one exchange of step {step.index}"
-                )
-        states[a] = HostState(HostRole.INITIATOR, b)
-        states[b] = HostState(HostRole.UTILIZED, a)
-    for h in range(1, n + 1):
-        states.setdefault(h, HostState(HostRole.INACTIVE))
-    return dict(sorted(states.items()))
-
-
-def pair_coverage(s: Schedule) -> dict[tuple[int, int], int]:
-    """How many times each (low, high) host pair appears in the schedule."""
-    counts = dict.fromkeys(s.topology.pairs(), 0)
-    for a, b in s.all_exchanges():
-        p = (a, b) if a < b else (b, a)
-        counts[p] = counts.get(p, 0) + 1
-    return counts

@@ -145,11 +145,6 @@ def complexity_class(kind: TopologyKind, metric: CostMetric | str) -> Complexity
     return _COMPLEXITY[kind][CostMetric(metric)]
 
 
-def add_host(t: NetworkTopology) -> NetworkTopology:
-    """The same geometry with one more host; all derived counts follow."""
-    return build_topology(t.kind, t.n_hosts + 1)
-
-
 def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
     """The parts an exchange between hosts lo < hi holds for its step, which
     no other exchange of the step may hold, as bits: the chain segments it

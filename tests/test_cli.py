@@ -161,6 +161,21 @@ def test_validate_malformed_file(data, tmp_path, capsys):
     assert err.startswith("kexnet: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_validate_utf8_byte_order_mark(fmt, tmp_path, capsys):
+    # A UTF-8 byte-order mark is read past; a UTF-16 file is still refused.
+    _, schedule, _ = run_cli(
+        capsys, "schedule", "--topology", "star", "--n", "5", "--format", fmt
+    )
+    argv = ["--topology", "star", "--n", "5"]
+    path = tmp_path / f"s.{fmt}"
+    path.write_text(schedule, encoding="utf-8-sig")
+    assert run_cli(capsys, "validate", "--in", str(path), *argv) == (0, "ok\n", "")
+    path.write_text(schedule, encoding="utf-16")
+    code, out, err = run_cli(capsys, "validate", "--in", str(path), *argv)
+    assert (code, out, err) == (3, "", f"kexnet: {path} is not UTF-8 text\n")
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
     | st.text(max_size=3),

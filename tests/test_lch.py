@@ -5,7 +5,7 @@ cut lower bound."""
 import hashlib
 import pathlib
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,7 +149,7 @@ def _check_meets_cut_bound(n):
         assert ends[1:-1:2] == ends[2:-1:2]
     # Crossings per segment by a difference array: +1 at lo, -1 at hi.
     deltas = [0] * (n + 1)
-    for e in schedule.all_exchanges():
+    for e in chain.from_iterable(step.exchanges for step in schedule.steps):
         lo, hi = sorted(e)
         deltas[lo] += 1
         deltas[hi] -= 1

@@ -7,18 +7,14 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kexnet.errors import AmbiguousStepError, ScheduleFormatError
+from kexnet.errors import ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
     MISSING_PAIR_LINES,
-    HostRole,
-    HostState,
     SbepStep,
     Schedule,
     ValidationReport,
     Violation,
-    host_states,
-    pair_coverage,
     validate_schedule,
 )
 from kexnet.serialize import (
@@ -91,52 +87,6 @@ def test_self_exchange_rejected():
         json_to_schedule(json.dumps(doc))
 
 
-def test_host_states_table_rows():
-    s = generate_star(5)
-    a = host_states(s.steps[0], 5)
-    assert a[1] == HostState(HostRole.INITIATOR, 2)
-    assert a[2].role is HostRole.UTILIZED and a[2].peer == 1
-    assert a[3].role is HostRole.INITIATOR and a[3].peer == 4
-    assert a[4].role is HostRole.UTILIZED and a[4].peer == 3
-    assert a[5].role is HostRole.INACTIVE and a[5].peer is None
-    c = host_states(s.steps[2], 5)
-    assert c[5].role is HostRole.INITIATOR and c[5].peer == 1
-    assert c[1].role is HostRole.UTILIZED and c[1].peer == 5
-    assert all(c[h].role is HostRole.INACTIVE for h in (2, 3, 4))
-
-
-def test_host_states_empty_step():
-    states = host_states(SbepStep(1, ()), 4)
-    assert all(s.role is HostRole.INACTIVE for s in states.values())
-
-
-def test_host_states_ambiguous():
-    step = SbepStep(1, ((1, 2), (2, 3)))
-    with pytest.raises(AmbiguousStepError):
-        host_states(step, 3)
-
-
-def test_pair_coverage_complete():
-    cov = pair_coverage(generate_star(5))
-    assert len(cov) == 10
-    assert set(cov.values()) == {1}
-
-
-def test_pair_coverage_empty():
-    s = make_schedule(TopologyKind.STAR, 4, [])
-    cov = pair_coverage(s)
-    assert len(cov) == 6
-    assert set(cov.values()) == {0}
-
-
-def test_pair_coverage_fcn_full():
-    from kexnet.protocols import generate_fcn_full
-
-    cov = pair_coverage(generate_fcn_full(6))
-    assert len(cov) == 15
-    assert set(cov.values()) == {1}
-
-
 @pytest.mark.parametrize("kind", list(TopologyKind))
 @settings(deadline=None)
 @given(n=st.integers(min_value=2, max_value=50))
@@ -151,25 +101,6 @@ def test_capacity1_steps_are_matchings(n):
         for step in s.steps:
             hosts = [h for e in step.exchanges for h in e]
             assert len(hosts) == len(set(hosts)) == 2 * len(step.exchanges)
-
-
-@given(n=st.integers(min_value=2, max_value=40))
-def test_host_states_involution(n):
-    for step in generate_star(n).steps:
-        states = host_states(step, n)
-        for h, s in states.items():
-            if s.role is HostRole.INITIATOR:
-                assert states[s.peer] == HostState(
-                    HostRole.UTILIZED, h
-                )
-
-
-@pytest.mark.parametrize("kind", list(TopologyKind))
-@settings(deadline=None)
-@given(n=st.integers(min_value=2, max_value=30))
-def test_coverage_sums(kind, n):
-    cov = pair_coverage(generate_schedule(kind, n))
-    assert sum(cov.values()) == n * (n - 1) // 2
 
 
 # --- the validator before its one-pass step check, kept as the reference -----

@@ -7,7 +7,6 @@ from kexnet.topology import (
     ComplexityClass,
     CostMetric,
     TopologyKind,
-    add_host,
     build_topology,
     complexity_class,
     cost_profile,
@@ -75,14 +74,6 @@ def test_complexity_examples():
     assert complexity_class(TopologyKind.STAR, "cable") is ComplexityClass.ON
 
 
-def test_add_host():
-    t = add_host(build_topology(TopologyKind.STAR, 5))
-    assert (t.kind, t.n_hosts) == (TopologyKind.STAR, 6)
-    assert cost_profile(add_host(build_topology(TopologyKind.FCN_FULL, 4))).cable_count == 10
-    t2 = add_host(add_host(build_topology(TopologyKind.LCH, 2)))
-    assert cost_profile(t2).exchanger_count == 8
-
-
 @pytest.mark.parametrize("kind", list(TopologyKind))
 @pytest.mark.parametrize("n", list(range(2, 129)))
 def test_counts_match_closed_forms(kind, n):
@@ -101,14 +92,6 @@ def test_counts_match_closed_forms(kind, n):
     }[kind]
     assert c.cable_count == expected_cables >= 0
     assert c.exchanger_count == expected_kes >= 0
-
-
-@pytest.mark.parametrize("kind", list(TopologyKind))
-@pytest.mark.parametrize("n", [2, 3, 17, 64])
-def test_add_host_stateless(kind, n):
-    grown = cost_profile(add_host(build_topology(kind, n)))
-    fresh = cost_profile(build_topology(kind, n + 1))
-    assert grown == fresh
 
 
 @pytest.mark.parametrize("n", [64, 128])
