@@ -87,6 +87,16 @@ def test_lch_segment_split():
     assert len(all_pairs(5) - report.reachable_pairs) == 6
 
 
+def test_chain_cut_sides_are_cliques():
+    # A cut chain leaves two segments; every pair within a side still talks.
+    n = 6
+    t = build_topology(TopologyKind.LCH, n)
+    for k in range(1, n):
+        left = itertools.combinations(range(1, k + 1), 2)
+        right = itertools.combinations(range(k + 1, n + 1), 2)
+        assert apply_failure(t, CableFailure(k)).reachable_pairs == {*left, *right}
+
+
 def test_fcn_cable():
     t = build_topology(TopologyKind.FCN_FULL, 4)
     report = apply_failure(t, CableFailure((1, 2)))

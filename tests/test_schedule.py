@@ -103,6 +103,48 @@ def test_capacity1_steps_are_matchings(n):
             assert len(hosts) == len(set(hosts)) == 2 * len(step.exchanges)
 
 
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_host_in_two_exchanges(kind):
+    # Host 2 in two exchanges of one step: over capacity where each host has
+    # one exchanger; the chain's two and fcn-full's n-1 exchangers allow it.
+    s = make_schedule(kind, 3, [[(1, 2), (2, 3)], [(1, 3)]])
+    kinds = {v.kind for v in validate_schedule(s).violations}
+    one_exchanger = kind in (TopologyKind.STAR, TopologyKind.FCN_SINGLE)
+    assert kinds == ({"capacity"} if one_exchanger else set())
+
+
+def test_empty_steps_allowed():
+    steps = [[], [(1, 2), (3, 4)], [], [(1, 3), (2, 4)], [(1, 4), (2, 3)], []]
+    s = make_schedule(TopologyKind.STAR, 4, steps)
+    assert validate_schedule(s).ok
+
+
+def test_no_steps_misses_every_pair():
+    report = validate_schedule(make_schedule(TopologyKind.STAR, 4, []))
+    assert report.violations == tuple(
+        Violation(None, "missing-pair", f"({a},{b})")
+        for a, b in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    )
+
+
+def test_pair_given_in_both_orders_is_duplicate():
+    s = make_schedule(TopologyKind.STAR, 3, [[(1, 2)], [(2, 1)], [(1, 3)], [(3, 2)]])
+    report = validate_schedule(s)
+    assert report.violations == (
+        Violation(2, "duplicate-pair", "(1,2) already exchanged in step 1"),
+    )
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@settings(deadline=None)
+@given(n=st.integers(min_value=2, max_value=30))
+def test_each_pair_once(kind, n):
+    # Counted here without the validator: every host pair in exactly one step.
+    s = generate_schedule(kind, n)
+    coverage = Counter(tuple(sorted(e)) for step in s.steps for e in step.exchanges)
+    assert coverage == dict.fromkeys(s.topology.pairs(), 1)
+
+
 # --- the validator before its one-pass step check, kept as the reference -----
 
 

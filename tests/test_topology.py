@@ -94,6 +94,40 @@ def test_counts_match_closed_forms(kind, n):
     assert c.exchanger_count == expected_kes >= 0
 
 
+# What one more host costs: a spoke and an exchanger for the star, a
+# segment and its two exchangers for the chain, a cable to every host for
+# the fully connected nets.
+MARGINAL_COST = {
+    TopologyKind.FCN_FULL: lambda n: (n, 2 * n),
+    TopologyKind.FCN_SINGLE: lambda n: (n, 1),
+    TopologyKind.LCH: lambda n: (1, 2),
+    TopologyKind.STAR: lambda n: (1, 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_one_more_host_marginal_cost(kind, n):
+    before = cost_profile(build_topology(kind, n))
+    after = cost_profile(build_topology(kind, n + 1))
+    assert (
+        after.cable_count - before.cable_count,
+        after.exchanger_count - before.exchanger_count,
+    ) == MARGINAL_COST[kind](n)
+    assert after.center_switch_count == before.center_switch_count
+    assert (after.class_cable, after.class_ke, after.class_time) == (
+        before.class_cable, before.class_ke, before.class_time
+    )
+
+
+def test_pairs_of_one_more_host():
+    for n in range(2, 21):
+        old = list(build_topology(TopologyKind.STAR, n).pairs())
+        new = list(build_topology(TopologyKind.STAR, n + 1).pairs())
+        assert new == sorted(new) and len(new) == len(set(new)) == n * (n + 1) // 2
+        assert set(new) - set(old) == {(a, n + 1) for a in range(1, n + 1)}
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_asymptotic_sanity(n):
     # exact arithmetic: FCN cables / N^2 -> 1/2, STAR cables / N -> 1
