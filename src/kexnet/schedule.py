@@ -12,7 +12,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat, starmap
+from operator import eq
 from typing import NamedTuple
 
 from .topology import NetworkTopology, TopologyKind, part_held_twice
@@ -36,12 +37,51 @@ class Schedule:
     ) -> Schedule:
         """The schedule whose steps, numbered from 1, hold the given
         (initiator, responder) pairs in the order given, as plain tuples.
-        Raises ValueError for a pair that is not two hosts, or is a self-pair."""
-        built = tuple(tuple(map(tuple, pairs)) for pairs in steps)
-        for a, b in chain.from_iterable(built):
-            if a == b:
-                raise ValueError(f"host {a} cannot exchange with itself")
+        Raises ValueError for a bad-exchange (see as_pairs)."""
+        built = tuple(map(tuple, steps))
+        exchanges = tuple(chain.from_iterable(built))
+        pairs = as_pairs(exchanges)
+        if pairs is not exchanges:  # lists made tuples: each step takes its own
+            built = tuple(map(tuple, map(islice, repeat(iter(pairs)), map(len, built))))
         return cls(topology, tuple(map(SbepStep, count(1), built)))
+
+
+def _two(e) -> bool:
+    """Whether e has the shape of an exchange: a tuple or list of two."""
+    return (type(e) is tuple or type(e) is list) and len(e) == 2
+
+
+def exchange_span(e) -> tuple[int, int] | str:
+    """The exchange rule: a tuple or list of two int hosts (``type(h) is
+    int``, so not True or 2.0) that differ gives its span (lo, hi). Else the
+    verdict is "unknown-host" for two items not both ints, or "bad-exchange"
+    (not a tuple or list of two, or one int host twice). Hosts may be off
+    the network: the 1..n range is the validator's check."""
+    if not _two(e):
+        return "bad-exchange"
+    a, b = e
+    if type(a) is not int or type(b) is not int:
+        return "unknown-host"
+    return "bad-exchange" if a == b else (a, b) if a < b else (b, a)
+
+
+def as_pairs(exchanges: tuple) -> tuple:
+    """The exchanges as tuples, checked by exchange_span: all at once in C,
+    as tuples or lists of two unequal items, and one at a time only if that
+    fails. Raises ValueError for the first bad-exchange."""
+    shapes = set(map(type, exchanges))
+    try:
+        if shapes <= {tuple, list}:
+            pairs = tuple(map(tuple, exchanges)) if list in shapes else exchanges
+            if not any(starmap(eq, pairs)):
+                return pairs
+    except TypeError:  # a tuple of other than two
+        pass
+    for e in exchanges:
+        if exchange_span(e) == "bad-exchange":
+            self_pair = _two(e) and f"host {e[0]} cannot exchange with itself"
+            raise ValueError(self_pair or f"exchange {e!r} is not two hosts")
+    return tuple(map(tuple, exchanges))
 
 
 @dataclass(frozen=True)
@@ -108,20 +148,17 @@ def _overlaps(index: int, exchanges: list) -> list[Violation]:
 
 def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     """The violations of a step that fails the fast accept, and its
-    exchanges of two int hosts, which alone go on to the other checks."""
-    out, exchanges = [], []
+    exchanges that have a span, which alone go on to the other checks."""
+    out, hosts, exchanges = [], [], []
     for e in step.exchanges:
-        # The exchange rule: two hosts, and one int host twice is not two.
-        try:
-            two = len(e) == 2 and (set(map(type, e)) != {int} or len(set(e)) == 2)
-        except TypeError:  # not sized, or sized but not iterable
-            two = False
-        if two:
-            exchanges.append(e)
-        else:
+        span = exchange_span(e)
+        if span == "bad-exchange":
             detail = f"exchange {e!r} is not two hosts"
             out.append(Violation(step.index, "bad-exchange", detail))
-    hosts = list(chain.from_iterable(exchanges))
+            continue
+        hosts += e
+        if span != "unknown-host":
+            exchanges.append(tuple(e))
     load, cap = Counter(h for h in hosts if type(h) is int), t.exchangers_per_host
     for host in sorted(load):
         if not 1 <= host <= t.n_hosts:
@@ -132,7 +169,6 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     # Any other value by its repr, be it True, 2.0 or an unhashable list.
     for other in sorted({repr(h) for h in hosts if type(h) is not int}):
         out.append(Violation(step.index, "unknown-host", f"host {other}"))
-    exchanges = [tuple(e) for e in exchanges if set(map(type, e)) == {int}]
     if t.kind is TopologyKind.LCH:
         out.extend(_overlaps(step.index, exchanges))
     return out, exchanges
@@ -155,10 +191,8 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``, ``bad-exchange``. A
     step whose index is not its 1-based position gets one ``step-index``
-    violation. An exchange that is not two hosts, one int host twice among
-    them, is a ``bad-exchange``, and a host that is not an int (``type(h)
-    is int``, as the json parser requires) in 1..n is an ``unknown-host``;
-    such an exchange, or one holding a host that is not an int, takes no
+    violation. An exchange gets ``exchange_span``'s verdict, a host outside
+    1..n is an ``unknown-host`` too, and only an exchange with a span takes
     part in the other checks.
     Only a step whose exchanges hold a part twice (``topology.parts_held``)
     has its host loads and chain overlaps looked at; its overlaps are

@@ -11,19 +11,21 @@ supplied separately. The JSON format is self-describing::
     {"topology": {"kind": "star", "n_hosts": 5},
      "steps": [[[1, 2], [3, 4]], ...]}
 
-Both formats round-trip bit-exactly. Host ids are integers, in ASCII
-digits in the text format; any other input raises ScheduleFormatError.
+Both formats round-trip bit-exactly. What an exchange is, both writers
+and both parsers take from ``schedule.exchange_span``, and the writers
+refuse a negative host too. Host ids are integers, in ASCII digits in the
+text format; any other input raises ScheduleFormatError.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from itertools import chain
-from operator import eq
 
 from .errors import ScheduleFormatError
-from .schedule import SbepStep, Schedule
+from .schedule import SbepStep, Schedule, as_pairs, exchange_span
 from .topology import TopologyKind, build_topology, NetworkTopology
 
 _STEP_RE = re.compile(r"^step [0-9]+:(?: \([0-9]+,[0-9]+\))*$")
@@ -33,25 +35,31 @@ _ID_MARKS = str.maketrans(":(,)", "    ")
 _JSON_PAIR = ",\n      [\n        %s,\n        %s\n      ]"
 
 
-def _hosts(step: SbepStep) -> tuple:
-    """The step's hosts in exchange order, two per exchange.
-
-    Raises ValueError for an exchange that is not two hosts, which the
-    writers' one pattern per step would otherwise split across pairs."""
-    if set(map(len, step.exchanges)) - {2}:
-        bad = next(e for e in step.exchanges if len(e) != 2)
-        raise ValueError(f"exchange {bad!r} in step {step.index} is not two hosts")
-    return tuple(chain.from_iterable(step.exchanges))
-
-
-def step_to_line(step: SbepStep) -> str:
-    pattern = "step %s:" + " (%s,%s)" * len(step.exchanges)
-    return pattern % (step.index, *_hosts(step))
+def _hosts(s: Schedule) -> tuple:
+    """The schedule's hosts, two per exchange. Raises ValueError for an
+    exchange with no span or a negative host, which the parsers would
+    refuse or read as other pairs."""
+    exchanges = tuple(chain.from_iterable(step.exchanges for step in s.steps))
+    with suppress(ValueError):
+        hosts = tuple(chain.from_iterable(as_pairs(exchanges)))
+        if set(map(type, hosts)) <= {int} and min(hosts, default=0) >= 0:
+            return hosts
+    for step in s.steps:  # one exchange failed the checks above
+        for e, span in zip(step.exchanges, map(exchange_span, step.exchanges)):
+            if type(span) is str or span[0] < 0:
+                detail = "is not two hosts with non-negative int ids"
+                raise ValueError(f"exchange {e!r} in step {step.index} {detail}")
 
 
 def schedule_to_text(s: Schedule) -> str:
     """One line per step, LF-terminated."""
-    return "".join(step_to_line(step) + "\n" for step in s.steps)
+    # One pattern for the whole text takes every host; each step's index is
+    # written into it, a "%" in the index escaped.
+    pattern = "".join(
+        f"step {step.index!s}:".replace("%", "%%") + " (%s,%s)" * len(step.exchanges) + "\n"
+        for step in s.steps
+    )
+    return pattern % _hosts(s)
 
 
 def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
@@ -64,32 +72,24 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
             raise ScheduleFormatError(f"malformed schedule line: {line!r}")
         try:
             index, *ids = map(int, line[5:].translate(_ID_MARKS).split())
-        except ValueError as exc:
+            exchanges = as_pairs(tuple(zip(ids[0::2], ids[1::2])))
+        except ValueError as exc:  # a 5000-digit id, or one host twice
             raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
-        initiators, responders = ids[0::2], ids[1::2]
-        if any(map(eq, initiators, responders)):
-            a = next(a for a, b in zip(initiators, responders) if a == b)
-            raise ScheduleFormatError(
-                f"host {a} cannot exchange with itself in line {line!r}"
-            )
-        steps.append(SbepStep(index, tuple(zip(initiators, responders))))
+        steps.append(SbepStep(index, exchanges))
     return Schedule(topology=topology, steps=tuple(steps))
 
 
 def schedule_to_json(s: Schedule) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n", written directly."""
-    steps = [
-        ("[" + (_JSON_PAIR * len(step.exchanges))[1:] + "\n    ]")
-        % _hosts(step)
-        if step.exchanges
-        else "[]"
-        for step in s.steps
-    ]
-    body = "[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]"
+    sizes = [len(step.exchanges) for step in s.steps]
+    # One pattern per step size: a star schedule's steps come in a few sizes.
+    pattern = {k: "[" + (_JSON_PAIR * k)[1:] + "\n    ]" if k else "[]" for k in set(sizes)}
+    steps = ",\n    ".join(map(pattern.__getitem__, sizes)) % _hosts(s)
+    lead, tail = ("\n    ", "\n  ") if sizes else ("", "")
     t = s.topology
     return (
         f'{{\n  "topology": {{\n    "kind": {json.dumps(t.kind.value)},\n'
-        f'    "n_hosts": {t.n_hosts}\n  }},\n  "steps": {body}\n}}\n'
+        f'    "n_hosts": {t.n_hosts}\n  }},\n  "steps": [{lead}{steps}{tail}]\n}}\n'
     )
 
 

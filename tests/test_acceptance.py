@@ -7,8 +7,6 @@ import math
 import pathlib
 import time
 
-import pytest
-
 from kexnet.analysis import (
     CableFailure,
     CenterSwitchFailure,

@@ -392,6 +392,9 @@ def test_non_int_host_is_unknown(kind):
         ([[(True, 2)], [(1, 3)], [(2, 3)]], 1, True),
         # Host 1 is checked before True turns up in its place.
         ([[(1, 3)], [(True, 2)], [(2, 3)]], 2, True),
+        # Equal to the other host is not one host twice.
+        ([[(1, True)], [(1, 3)], [(2, 3)]], 1, True),
+        ([[(1, 3)], [(2, 3)], [(2, 2.0)]], 3, 2.0),
     ],
 )
 def test_host_equal_to_an_int_is_unknown(steps, at, odd):
@@ -542,7 +545,10 @@ def test_exchange_not_two_hosts(kind):
         1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"
     )
     # One host twice is not two hosts, nor an unknown host when off the network.
+    # Only a tuple or list is an exchange: not a dict of two keys, nor a str,
+    # bytes or set of two items.
     steps = [((1, 2, 3), (1, 2)), ((1,), (1, 3), 5), ((2, 3), (2, 2), (9, 9))]
+    steps += [({1: 3, 2: 2}, "12", b"12", {1, 2})]
     s = Schedule(t, tuple(SbepStep(i, e) for i, e in enumerate(steps, 1)))
     assert validate_schedule(s).violations == (
         Violation(1, "bad-exchange", "exchange (1, 2, 3) is not two hosts"),
@@ -550,6 +556,10 @@ def test_exchange_not_two_hosts(kind):
         Violation(2, "bad-exchange", "exchange 5 is not two hosts"),
         Violation(3, "bad-exchange", "exchange (2, 2) is not two hosts"),
         Violation(3, "bad-exchange", "exchange (9, 9) is not two hosts"),
+        Violation(4, "bad-exchange", "exchange {1: 3, 2: 2} is not two hosts"),
+        Violation(4, "bad-exchange", "exchange '12' is not two hosts"),
+        Violation(4, "bad-exchange", "exchange b'12' is not two hosts"),
+        Violation(4, "bad-exchange", "exchange {1, 2} is not two hosts"),
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kexnet.errors import ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
-from kexnet.schedule import SbepStep, Schedule
+from kexnet.schedule import SbepStep, Schedule, exchange_span
 from kexnet.serialize import (
     json_to_schedule,
     schedule_to_json,
@@ -99,15 +99,37 @@ def test_json_writer_edge_cases():
 
 
 @pytest.mark.parametrize(
-    "exchanges", [((1, 2, 3), (4,)), ((1,), (2, 3, 4)), ((1, 2), (1, 2, 3)), ((),)]
+    "exchanges",
+    [
+        ((1, 2, 3), (4,)),
+        ((1,), (2, 3, 4)),
+        ((1, 2), (1, 2, 3)),
+        ((),),
+        ((1, True),),
+        ((2, 2.0),),
+        ((-1, 2),),
+        ("12",),
+        ({1: 3, 2: 2},),
+    ],
 )
 def test_writers_refuse_exchange_not_two_hosts(exchanges):
-    # Flattened, these hold two hosts per exchange on average: each writer
-    # must refuse them, not write them as other pairs.
+    # Flattened, the first four hold two hosts per exchange on average, and
+    # the rest are two ids each when written: each writer must refuse them,
+    # not write other pairs or a line the parsers refuse.
     s = Schedule(build_topology(TopologyKind.STAR, 5), (SbepStep(1, exchanges),))
+    bad = next(e for e in exchanges if type(exchange_span(e)) is str or min(e) < 0)
     for write in (schedule_to_text, schedule_to_json):
-        with pytest.raises(ValueError, match="not two hosts"):
+        with pytest.raises(ValueError) as info:
             write(s)
+        assert str(info.value).startswith(f"exchange {bad!r} in step 1 is not two hosts")
+
+
+@pytest.mark.parametrize("pair", [[1], [1, 2, 3], []])
+def test_json_exchange_not_two_hosts_message(pair):
+    doc = {"topology": {"kind": "star", "n_hosts": 3}, "steps": [[[2, 3]], [pair]]}
+    with pytest.raises(ScheduleFormatError) as info:
+        json_to_schedule(json.dumps(doc))
+    assert str(info.value) == f"malformed JSON schedule: exchange {pair!r} is not two hosts"
 
 
 def test_self_pair_rejected_by_both_parsers():
