@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, islice, repeat, starmap
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .topology import NetworkTopology, TopologyKind, part_held_twice
@@ -102,6 +102,9 @@ class ValidationReport:
 MISSING_PAIR_LINES = 100
 
 
+_LOW, _HIGH = itemgetter(0), itemgetter(1)
+
+
 def _spans(exchanges) -> list[tuple[int, int]]:
     # Each (a, b) as (lo, hi), keeping a tuple that is in order already.
     return [e if a < b else (b, a) for e in exchanges for a, b in (e,)]
@@ -111,14 +114,16 @@ def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
     """The step's exchanges as (lo, hi) spans if each is a tuple of two int
     hosts in 1..n (checked by bounds) and no part is held twice, else None."""
     exchanges = step.exchanges
+    if set(map(type, exchanges)) - {tuple}:
+        return None
     try:
-        hosts = list(chain.from_iterable(exchanges))
         spans = _spans(exchanges)
     except (TypeError, ValueError):  # an exchange that is not two comparable hosts
         return None
-    if set(map(type, exchanges)) - {tuple} or set(map(type, hosts)) - {int}:
+    lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
+    if set(map(type, lows + highs)) - {int}:
         return None
-    bounded = not hosts or 1 <= min(hosts) and max(hosts) <= t.n_hosts
+    bounded = not spans or 1 <= min(lows) and max(highs) <= t.n_hosts
     return spans if bounded and not part_held_twice(t.kind, spans) else None
 
 
