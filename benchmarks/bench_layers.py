@@ -2,7 +2,8 @@
 
 One benchmark per row of that table, plus the fcn1 generator, the text
 writer that the star round trip also runs, the validator on the chain
-schedule at n=256 and on one failing chain step of 4,000 exchanges. Each
+schedule at n=256 and on one failing chain step of 4,000 exchanges, and the
+simulator on star n=600 with five failures at five times. Each
 times one layer call in
 process: generators, validator, serializers, capable pairs, simulator,
 oracle and four CLI commands. ``test_star_roundtrip`` and
@@ -28,7 +29,7 @@ import json
 import pytest
 
 from kexnet import oracle, protocols, serialize, simengine
-from kexnet.analysis import CableFailure, capable_pairs
+from kexnet.analysis import CableFailure, KeyExchangerFailure, capable_pairs
 from kexnet.cli import main
 from kexnet.schedule import Schedule, validate_schedule
 from kexnet.topology import TopologyKind, build_topology
@@ -117,10 +118,20 @@ def test_generate_lch(benchmark, n):
     assert len(benchmark(protocols.generate_lch, n).steps) == n * n // 4
 
 
+# Five spoke and exchanger failures at five times inside the three passes.
+FIVE_FAILURES = (
+    (100, CableFailure(3)),
+    (400, KeyExchangerFailure(88)),
+    (800, CableFailure(17)),
+    (1200, KeyExchangerFailure(300)),
+    (1600, CableFailure(599)),
+)
+
+
 @pytest.mark.parametrize(
     "n,k,failures",
-    [(50, 100, ((3, CableFailure(1)),)), (200, 10, ())],
-    ids=["n50-k100-cable@3", "n200-k10"],
+    [(50, 100, ((3, CableFailure(1)),)), (200, 10, ()), (600, 3, FIVE_FAILURES)],
+    ids=["n50-k100-cable@3", "n200-k10", "n600-k3-five-failures"],
 )
 def test_simengine_run(benchmark, n, k, failures):
     config = simengine.SimConfig(build_topology(STAR, n), key_bits=k, failures=failures)

@@ -9,9 +9,9 @@ Timing of failures mid-run is handled by the simulation engine.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .errors import DegenerateFitError, InvalidScenarioError
 from .protocols import generate_schedule, sbep_formula
@@ -107,81 +107,72 @@ class ConnectivityReport:
     degraded_hosts: frozenset[int]
 
 
-def _destroyed(t: NetworkTopology, f: FailureScenario) -> tuple[str, object]:
-    """The one part of ``t`` that ``f`` destroys: ("center", None),
-    ("host", h), ("pair", (lo, hi)), ("segment", k) or ("slot", (h, s)).
-    Raises InvalidScenarioError for a component ``t`` does not have."""
-    n, kind = t.n_hosts, t.kind
-    if isinstance(f, CenterSwitchFailure):
-        if kind is not TopologyKind.STAR:
-            raise InvalidScenarioError("only the star network has a center switch")
-        return "center", None
-    if isinstance(f, KeyExchangerFailure):
-        if not 1 <= f.host <= n:
-            raise InvalidScenarioError(f"no host {f.host} in a {n}-host network")
-        if f.slot is not None and not 1 <= f.slot <= t.exchangers_per_host:
+def _is_id(x, top: int) -> bool:
+    # Ids are ints (type(x) is int, so not True or 2.0) in 1..top.
+    return type(x) is int and 1 <= x <= top
+
+
+def _host_pairs(n: int, h: int) -> Iterator[tuple[int, int]]:
+    return chain(product(range(1, h), (h,)), product((h,), range(h + 1, n + 1)))
+
+
+def stops(t: NetworkTopology, failures: Iterable[FailureScenario]) -> Iterator[Iterable]:
+    """For each failure in turn, the (low, high) pairs it stops, lazily: all of
+    them for the center; a host's for its spoke or only exchanger; those across
+    a chain segment; one for a fully connected cable or fcn-full slot; and for
+    a chain slot none, or the host's once its other slot is lost too. Raises
+    InvalidScenarioError on reaching a failure of a component t does not have."""
+    n, kind, cap = t.n_hosts, t.kind, t.exchangers_per_host
+    lost_slots: set[tuple[int, int]] = set()
+    for f in failures:
+        if isinstance(f, CenterSwitchFailure):
+            if kind is not TopologyKind.STAR:
+                raise InvalidScenarioError("only the star network has a center switch")
+            yield combinations(t.hosts(), 2)
+        elif isinstance(f, KeyExchangerFailure):
+            h, slot = f.host, f.slot
+            if not _is_id(h, n):
+                raise InvalidScenarioError(f"no host {h} in a {n}-host network")
+            if slot is not None and not _is_id(slot, cap):
+                raise InvalidScenarioError(f"host {h} has {cap} exchanger(s), no slot {slot}")
+            if kind is TopologyKind.FCN_FULL:
+                if slot is None:
+                    raise InvalidScenarioError("FCN_FULL exchanger failure needs a slot")
+                # Slots map to the host's peers in ascending order.
+                yield (tuple(sorted((h, slot + (slot >= h)))),)
+            else:
+                lost_slots.add((h, slot or 1))
+                dead = kind is not TopologyKind.LCH or {(h, 1), (h, 2)} <= lost_slots
+                yield _host_pairs(n, h) if dead else ()
+        elif not isinstance(f, CableFailure):
+            raise InvalidScenarioError(f"unknown scenario {f!r}")
+        elif kind is TopologyKind.STAR:
+            if not _is_id(f.ident, n):
+                raise InvalidScenarioError(f"no star spoke {f.ident!r}")
+            yield _host_pairs(n, f.ident)
+        elif kind is TopologyKind.LCH:
+            if not _is_id(f.ident, n - 1):
+                raise InvalidScenarioError(f"no chain segment {f.ident!r}")
+            yield product(range(1, f.ident + 1), range(f.ident + 1, n + 1))
+        elif isinstance(f.ident, tuple) and len(f.ident) == 2 and (
+            all(_is_id(h, n) for h in f.ident) and f.ident[0] != f.ident[1]
+        ):
+            yield (tuple(sorted(f.ident)),)
+        else:
             raise InvalidScenarioError(
-                f"host {f.host} has {t.exchangers_per_host} exchanger(s), "
-                f"no slot {f.slot}"
+                f"fully connected cable is a host pair, got {f.ident!r}"
             )
-        if kind is TopologyKind.LCH:
-            return "slot", (f.host, f.slot or 1)
-        if kind is not TopologyKind.FCN_FULL:
-            return "host", f.host
-        if f.slot is None:
-            raise InvalidScenarioError("FCN_FULL exchanger failure needs a slot")
-        # Slots map to the host's peers in ascending order.
-        return "pair", tuple(sorted((f.host, f.slot + (f.slot >= f.host))))
-    if not isinstance(f, CableFailure):
-        raise InvalidScenarioError(f"unknown scenario {f!r}")
-    ident = f.ident
-    if kind is TopologyKind.STAR:
-        if not (isinstance(ident, int) and 1 <= ident <= n):
-            raise InvalidScenarioError(f"no star spoke {ident!r}")
-        return "host", ident
-    if kind is TopologyKind.LCH:
-        if not (isinstance(ident, int) and 1 <= ident <= n - 1):
-            raise InvalidScenarioError(f"no chain segment {ident!r}")
-        return "segment", ident
-    if not (
-        isinstance(ident, tuple)
-        and len(ident) == 2
-        and ident[0] != ident[1]
-        and all(1 <= h <= n for h in ident)
-    ):
-        raise InvalidScenarioError(
-            f"fully connected cable is a host pair, got {ident!r}"
-        )
-    return "pair", tuple(sorted(ident))
 
 
 def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
-    """((low, high) pairs that can still exchange, hosts with degraded capacity).
-
-    A host is dead when it, or the center, or both of its chain slots are
-    destroyed; a host that lost one chain slot is degraded.
-    """
-    lost: defaultdict[str, set] = defaultdict(set)
-    for f in failures:
-        part, which = _destroyed(t, f)
-        lost[part].add(which)
-    slot_hosts = [h for h, _ in lost["slot"]]
-    dead = lost["host"] | {h for h in slot_hosts if slot_hosts.count(h) == 2}
-    if lost["center"]:
-        dead = set(t.hosts())
-    # The cut segments split the hosts into sides, and a pair keeps its
-    # hosts and crosses no cut exactly when both are live hosts of one side.
-    bounds = [0, *sorted(lost["segment"]), t.n_hosts]
-    sides = (
-        [h for h in range(lo + 1, hi + 1) if h not in dead]
-        for lo, hi in zip(bounds, bounds[1:])
-    )
-    ok = frozenset(chain.from_iterable(combinations(g, 2) for g in sides))
-    if lost["pair"]:
-        ok -= lost["pair"]
-    return ok, frozenset(set(slot_hosts) - dead)
+    """((low, high) pairs that can still exchange, hosts with degraded capacity):
+    the pairs no failure stops, and the chain hosts that lost one slot of two."""
+    ok = frozenset(combinations(t.hosts(), 2)).difference(*stops(t, failures))
+    slots = {(f.host, f.slot or 1) for f in failures if isinstance(f, KeyExchangerFailure)}
+    hosts = [h for h, _ in slots] if t.kind is TopologyKind.LCH else []
+    return ok, frozenset(h for h in hosts if hosts.count(h) == 1)
 
 
 def apply_failures(

@@ -121,10 +121,11 @@ def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
     except (TypeError, ValueError):  # an exchange that is not two comparable hosts
         return None
     lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
-    if set(map(type, lows + highs)) - {int}:
+    hosts = lows + highs
+    if set(map(type, hosts)) - {int}:
         return None
     bounded = not spans or 1 <= min(lows) and max(highs) <= t.n_hosts
-    return spans if bounded and not part_held_twice(t.kind, spans) else None
+    return spans if bounded and not part_held_twice(t.kind, spans, hosts) else None
 
 
 def _overlaps(index: int, exchanges: list) -> list[Violation]:

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .analysis import FailureScenario, _destroyed, capable_pairs
+from .analysis import FailureScenario, capable_pairs, stops
 from .protocols import generate_schedule
 from .topology import NetworkTopology
 
@@ -31,8 +31,8 @@ class SimConfig:
             raise ValueError("failure step_time must be >= 1")
         if list(self.failures) != sorted(self.failures, key=lambda f: f[0]):
             raise ValueError("failures must be sorted by step_time")
-        for _, scenario in self.failures:
-            _destroyed(self.topology, scenario)
+        for _ in stops(self.topology, [f for _, f in self.failures]):
+            pass  # stops checks each failure as it reaches it, listing no pair
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def run(config: SimConfig) -> SimReport:
 
     An exchange succeeds iff its pair is still exchange-capable given the
     failures active at that step. ``lost_pairs`` are pairs that end below
-    the requested key length. The run walks the schedule once and calls
-    capable_pairs once per distinct failure time, whatever key_bits is.
+    the requested key length. The run walks the schedule once, whatever
+    key_bits is, and calls capable_pairs at most once.
     """
     topo = config.topology
     schedule = generate_schedule(topo.kind, topo.n_hosts)
@@ -67,14 +67,17 @@ def run(config: SimConfig) -> SimReport:
     bits = dict.fromkeys(topo.pairs(), k)
 
     # Failures only remove capable pairs, so each pair has a stop time: the
-    # first failure time at which it is no longer capable. gone[t] holds the
-    # pairs that stop at t, and the pairs left in ``capable`` never stop.
+    # time of the first failure that stops it. gone[t] holds the pairs that
+    # stop at t, and the pairs left in ``capable`` never stop.
     gone: dict[int, set[tuple[int, int]]] = {}
     capable = bits.keys()
-    for t in sorted({t for t, _ in config.failures if t <= horizon}):
-        ok, _ = capable_pairs(topo, [f for u, f in config.failures if u <= t])
-        gone[t] = capable - ok
-        capable = ok
+    within = [f for t, f in config.failures if t <= horizon]
+    if within:
+        stopped: set[tuple[int, int]] = set()
+        for (t, _), pairs in zip(config.failures, stops(topo, within)):
+            gone.setdefault(t, set()).update(set(pairs) - stopped)
+            stopped |= gone[t]
+        capable, _ = capable_pairs(topo, within)
 
     # A pair at step s runs at times s, s + period, ..., so with a stop time
     # t = q * period + r + 1 (0 <= r < period) it earns q + 1 bits if s <= r,

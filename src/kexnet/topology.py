@@ -157,13 +157,13 @@ def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
     return 1 << lo | 1 << hi
 
 
-def part_held_twice(kind: TopologyKind, spans: list[tuple[int, int]]) -> bool:
-    """Whether two exchanges (lo, hi), lo <= hi, of one step hold the same
-    part, or one is a self-pair. A set of the hosts or pairs stands in for
-    host or cable bits, which for a cable lie up to n^2/2 places up."""
+def part_held_twice(kind: TopologyKind, spans: list[tuple[int, int]], hosts: list) -> bool:
+    """Whether two spans (lo, hi), lo <= hi, of one step with ends ``hosts``
+    hold the same part, or one is a self-pair. A set of the hosts or pairs
+    stands in for host or cable bits, which for a cable lie up to n^2/2 places up."""
     if kind is TopologyKind.LCH:
         masks = [parts_held(kind, lo, hi) for lo, hi in spans]
         return 0 in masks or sum(masks) != reduce(or_, masks, 0)
     if kind is TopologyKind.FCN_FULL:
         return len(set(spans)) < len(spans) or any(starmap(eq, spans))
-    return len(set(chain.from_iterable(spans))) < 2 * len(spans)
+    return len(set(hosts)) < len(hosts)

@@ -10,18 +10,18 @@ from kexnet.analysis import (
     CableFailure,
     CenterSwitchFailure,
     KeyExchangerFailure,
+    FailureScenario,
     apply_failure,
-    _destroyed,
     apply_failures,
     build_sbep_table,
     capable_pairs,
     compare_networks,
     fit_linear,
+    stops,
 )
 from kexnet.errors import DegenerateFitError, InvalidScenarioError
 from kexnet.simengine import SimConfig
 from kexnet.topology import TopologyKind, build_topology
-from test_simengine import valid_failures
 
 FIG_SLOPE = 1.3192982456
 FIG_INTERCEPT = -1.301754386
@@ -131,6 +131,11 @@ def test_invalid_scenarios():
         apply_failure(star, KeyExchangerFailure(2, 2))  # one exchanger per host
 
 
+def is_id(x, top):
+    """Host, slot and segment ids are ints in 1..top: not True, not 2.0."""
+    return type(x) is int and 1 <= x <= top
+
+
 def expected_scenario_error(t, f):
     """The message InvalidScenarioError carries for ``f`` in ``t``, or None
     when ``t`` has the component."""
@@ -140,9 +145,9 @@ def expected_scenario_error(t, f):
         if kind is not TopologyKind.STAR:
             return "only the star network has a center switch"
     elif isinstance(f, KeyExchangerFailure):
-        if not 1 <= f.host <= n:
+        if not is_id(f.host, n):
             return f"no host {f.host} in a {n}-host network"
-        if f.slot is not None and not 1 <= f.slot <= t.exchangers_per_host:
+        if f.slot is not None and not is_id(f.slot, t.exchangers_per_host):
             return (
                 f"host {f.host} has {t.exchangers_per_host} exchanger(s), "
                 f"no slot {f.slot}"
@@ -152,12 +157,12 @@ def expected_scenario_error(t, f):
     elif fully_connected:
         ident = f.ident
         if not (isinstance(ident, tuple) and ident[0] != ident[1]
-                and all(1 <= h <= n for h in ident)):
+                and all(is_id(h, n) for h in ident)):
             return f"fully connected cable is a host pair, got {ident!r}"
     elif kind is TopologyKind.LCH:
-        if not (isinstance(f.ident, int) and 1 <= f.ident <= n - 1):
+        if not is_id(f.ident, n - 1):
             return f"no chain segment {f.ident!r}"
-    elif not (isinstance(f.ident, int) and 1 <= f.ident <= n):
+    elif not is_id(f.ident, n):
         return f"no star spoke {f.ident!r}"
     return None
 
@@ -173,6 +178,10 @@ def scenario_grid(t):
     for h in range(0, n + 2):
         for s in (None, *range(0, t.exchangers_per_host + 2)):
             yield KeyExchangerFailure(h, s)
+    # Ids that are not ints, each in the place of a valid one.
+    yield from map(KeyExchangerFailure, (2.5, True, 2.0))
+    yield from (KeyExchangerFailure(2, s) for s in (1.5, True, 1.0))
+    yield from map(CableFailure, (True, 2.0, (2.0, 3), (True, 3), (1, 3.0)))
 
 
 # Components of a 5-host network: the fully connected ones have 20 ordered
@@ -333,9 +342,60 @@ def test_compare_networks():
     assert rows[TopologyKind.FCN_SINGLE].step_count == 9
 
 
+# --- the part vocabulary as the reference for stops --------------------------
+
+
+def _destroyed(t, f: FailureScenario) -> tuple[str, object]:
+    """The one part of ``t`` that ``f`` destroys: ("center", None),
+    ("host", h), ("pair", (lo, hi)), ("segment", k) or ("slot", (h, s)).
+    Raises InvalidScenarioError for a component ``t`` does not have."""
+    n, kind = t.n_hosts, t.kind
+    if isinstance(f, CenterSwitchFailure):
+        if kind is not TopologyKind.STAR:
+            raise InvalidScenarioError("only the star network has a center switch")
+        return "center", None
+    if isinstance(f, KeyExchangerFailure):
+        if not 1 <= f.host <= n:
+            raise InvalidScenarioError(f"no host {f.host} in a {n}-host network")
+        if f.slot is not None and not 1 <= f.slot <= t.exchangers_per_host:
+            raise InvalidScenarioError(
+                f"host {f.host} has {t.exchangers_per_host} exchanger(s), "
+                f"no slot {f.slot}"
+            )
+        if kind is TopologyKind.LCH:
+            return "slot", (f.host, f.slot or 1)
+        if kind is not TopologyKind.FCN_FULL:
+            return "host", f.host
+        if f.slot is None:
+            raise InvalidScenarioError("FCN_FULL exchanger failure needs a slot")
+        # Slots map to the host's peers in ascending order.
+        return "pair", tuple(sorted((f.host, f.slot + (f.slot >= f.host))))
+    if not isinstance(f, CableFailure):
+        raise InvalidScenarioError(f"unknown scenario {f!r}")
+    ident = f.ident
+    if kind is TopologyKind.STAR:
+        if not (isinstance(ident, int) and 1 <= ident <= n):
+            raise InvalidScenarioError(f"no star spoke {ident!r}")
+        return "host", ident
+    if kind is TopologyKind.LCH:
+        if not (isinstance(ident, int) and 1 <= ident <= n - 1):
+            raise InvalidScenarioError(f"no chain segment {ident!r}")
+        return "segment", ident
+    if not (
+        isinstance(ident, tuple)
+        and len(ident) == 2
+        and ident[0] != ident[1]
+        and all(1 <= h <= n for h in ident)
+    ):
+        raise InvalidScenarioError(
+            f"fully connected cable is a host pair, got {ident!r}"
+        )
+    return "pair", tuple(sorted(ident))
+
+
 def _reference_capable_pairs(t, failures):
-    """capable_pairs as a test of every pair: both ends on one side of the
-    cuts, where a dead host is a side of its own."""
+    """capable_pairs from the destroyed parts, as a test of every pair: both
+    ends on one side of the cuts, where a dead host is a side of its own."""
     lost = defaultdict(set)
     for f in failures:
         part, which = _destroyed(t, f)
@@ -350,15 +410,70 @@ def _reference_capable_pairs(t, failures):
     return ok, frozenset(set(slot_hosts) - dead)
 
 
+def valid_failures(t):
+    """Every failure scenario the topology has a component for."""
+    slots = range(1, t.exchangers_per_host + 1)
+    yield from (KeyExchangerFailure(h, s) for h in t.hosts() for s in slots)
+    if t.kind is not TopologyKind.FCN_FULL:
+        yield from (KeyExchangerFailure(h) for h in t.hosts())
+    if t.kind is TopologyKind.STAR:
+        yield CenterSwitchFailure()
+        yield from map(CableFailure, t.hosts())
+    elif t.kind is TopologyKind.LCH:
+        yield from map(CableFailure, range(1, t.n_hosts))
+    else:
+        yield from map(CableFailure, itertools.permutations(t.hosts(), 2))
+
+
 @st.composite
 def failure_sets(draw):
     t = build_topology(draw(st.sampled_from(list(TopologyKind))), draw(st.integers(2, 30)))
     scenarios = list(valid_failures(t))
-    return t, draw(st.lists(st.sampled_from(scenarios), max_size=6, unique=True))
+    return t, draw(st.lists(st.sampled_from(scenarios), max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(failure_sets())
 def test_capable_pairs_matches_pair_walk(case):
+    # After each prefix of the failures, capable_pairs is the reference, and
+    # the last failure stops, beyond what the ones before it stopped, exactly
+    # the pairs the reference loses with it.
     t, failures = case
-    assert capable_pairs(t, failures) == _reference_capable_pairs(t, failures)
+    stopped, before = set(), frozenset(t.pairs())
+    assert capable_pairs(t, []) == _reference_capable_pairs(t, [])
+    for i, pairs in enumerate(map(set, stops(t, failures)), 1):
+        expected = _reference_capable_pairs(t, failures[:i])
+        assert capable_pairs(t, failures[:i]) == expected
+        assert pairs - stopped == before - expected[0]
+        stopped |= pairs
+        before = expected[0]
+
+
+def _stop_count(t, f):
+    """How many pairs ``f`` stops as the first failure of ``t``."""
+    n = t.n_hosts
+    if isinstance(f, CenterSwitchFailure):
+        return n * (n - 1) // 2
+    if isinstance(f, CableFailure):
+        if t.kind is TopologyKind.LCH:
+            return f.ident * (n - f.ident)
+        return n - 1 if t.kind is TopologyKind.STAR else 1
+    if t.kind is TopologyKind.LCH:
+        return 0
+    return 1 if t.kind is TopologyKind.FCN_FULL else n - 1
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_stop_counts(kind, n):
+    t = build_topology(kind, n)
+    for f in valid_failures(t):
+        pairs = list(next(stops(t, [f])))
+        assert len(pairs) == len(set(pairs)) == _stop_count(t, f), f
+        assert all(1 <= lo < hi <= n for lo, hi in pairs)
+    if kind is TopologyKind.LCH:
+        # A chain host's second slot stops its n - 1 pairs, whichever goes first.
+        for h in t.hosts():
+            for first, second in [(1, 2), (2, None)]:
+                ke = [KeyExchangerFailure(h, first), KeyExchangerFailure(h, second)]
+                assert [len(list(p)) for p in stops(t, ke)] == [0, n - 1]

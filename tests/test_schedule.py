@@ -315,7 +315,8 @@ def test_part_rule_is_the_written_out_one(kind, pairs):
     spans = [tuple(sorted(p)) for p in pairs]
     parts = [_parts(kind, lo, hi) for lo, hi in spans if lo != hi]
     shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
-    assert part_held_twice(kind, spans) == (len(parts) < len(spans) or shared)
+    hosts = [h for span in spans for h in span]
+    assert part_held_twice(kind, spans, hosts) == (len(parts) < len(spans) or shared)
     if kind is not TopologyKind.FCN_FULL:
         for lo, hi in {(lo, hi) for lo, hi in spans if lo < hi}:
             bits = parts_held(kind, lo, hi)

@@ -9,12 +9,12 @@ from kexnet.analysis import (
     CenterSwitchFailure,
     FailureScenario,
     KeyExchangerFailure,
-    capable_pairs,
 )
 from kexnet.errors import InvalidScenarioError
 from kexnet.protocols import generate_schedule
 from kexnet.simengine import SimConfig, SimReport, run, utilization_profile
 from kexnet.topology import TopologyKind, build_topology
+from test_analysis import _reference_capable_pairs, valid_failures
 
 
 def star(n):
@@ -131,7 +131,7 @@ def _reference_run(config: SimConfig) -> SimReport:
 
     pending = list(config.failures)
     active: list[FailureScenario] = []
-    ok, _ = capable_pairs(topo, active)
+    ok, _ = _reference_capable_pairs(topo, active)
 
     t = 0
     for _ in range(config.key_bits):
@@ -142,7 +142,7 @@ def _reference_run(config: SimConfig) -> SimReport:
                 active.append(pending.pop(0)[1])
                 changed = True
             if changed:
-                ok, _ = capable_pairs(topo, active)
+                ok, _ = _reference_capable_pairs(topo, active)
             active_hosts: set[int] = set()
             for a, b in step.exchanges:
                 p = (min(a, b), max(a, b))
@@ -160,21 +160,6 @@ def _reference_run(config: SimConfig) -> SimReport:
         host_utilization=utilization,
         lost_pairs=lost,
     )
-
-
-def valid_failures(t):
-    """Every failure scenario the topology has a component for."""
-    slots = range(1, t.exchangers_per_host + 1)
-    yield from (KeyExchangerFailure(h, s) for h in t.hosts() for s in slots)
-    if t.kind is not TopologyKind.FCN_FULL:
-        yield from (KeyExchangerFailure(h) for h in t.hosts())
-    if t.kind is TopologyKind.STAR:
-        yield CenterSwitchFailure()
-        yield from map(CableFailure, t.hosts())
-    elif t.kind is TopologyKind.LCH:
-        yield from map(CableFailure, range(1, t.n_hosts))
-    else:
-        yield from map(CableFailure, itertools.permutations(t.hosts(), 2))
 
 
 @st.composite

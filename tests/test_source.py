@@ -1,6 +1,7 @@
 """Checks on the source text of the library, its tests and its benchmarks."""
 
 import ast
+import importlib
 import pathlib
 
 import kexnet
@@ -27,3 +28,17 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.parent.name}/{path.name}: unused import {name}")
     assert not unused
+
+
+def test_perfbench_bindings_stay_bound():
+    # perfbench/tracing.py wraps each (module, attribute) of its BINDINGS by
+    # name; read the pairs from its source, so perfbench is not imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (bindings,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"]
+    ]
+    names = [(row.elts[0].value, row.elts[1].value) for row in bindings.elts]
+    assert len(names) > 10
+    missing = [f"{m}.{a}" for m, a in names if not hasattr(importlib.import_module(m), a)]
+    assert not missing
