@@ -12,8 +12,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice, repeat, starmap
-from operator import eq, itemgetter
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, starmap
+from operator import add, attrgetter, eq, itemgetter, ne
 from typing import NamedTuple
 
 from .topology import NetworkTopology, TopologyKind, part_held_twice
@@ -103,6 +103,10 @@ MISSING_PAIR_LINES = 100
 
 
 _LOW, _HIGH = itemgetter(0), itemgetter(1)
+_INDEX, _EXCHANGES = attrgetter("index"), attrgetter("exchanges")
+# The fast accept takes the steps in blocks of about this many exchanges:
+# past it, its passes over the block slowed down on star steps.
+_BLOCK = 1 << 12
 
 
 def _spans(exchanges) -> list[tuple[int, int]]:
@@ -110,10 +114,10 @@ def _spans(exchanges) -> list[tuple[int, int]]:
     return [e if a < b else (b, a) for e in exchanges for a, b in (e,)]
 
 
-def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
-    """The step's exchanges as (lo, hi) spans if each is a tuple of two int
-    hosts in 1..n (checked by bounds) and no part is held twice, else None."""
-    exchanges = step.exchanges
+def _ends(exchanges, n: int) -> tuple[list, list, list] | None:
+    """The exchanges' (lo, hi) spans, their lows and their highs, if each
+    exchange is a tuple of two int hosts in 1..n (checked by bounds), else
+    None."""
     if set(map(type, exchanges)) - {tuple}:
         return None
     try:
@@ -121,11 +125,69 @@ def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
     except (TypeError, ValueError):  # an exchange that is not two comparable hosts
         return None
     lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
-    hosts = lows + highs
-    if set(map(type, hosts)) - {int}:
+    if (set(map(type, lows)) | set(map(type, highs))) - {int}:
         return None
-    bounded = not spans or 1 <= min(lows) and max(highs) <= t.n_hosts
-    return spans if bounded and not part_held_twice(t.kind, spans, hosts) else None
+    return (spans, lows, highs) if not spans or 1 <= min(lows) and max(highs) <= n else None
+
+
+def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
+    """The step's exchanges as (lo, hi) spans if each is a tuple of two int
+    hosts in 1..n and no part is held twice, else None."""
+    ends = _ends(step.exchanges, t.n_hosts)
+    if ends is None or part_held_twice(t.kind, *ends, [len(ends[0])]):
+        return None
+    return ends[0]
+
+
+def _replace_runs(items: list, sizes: list[int], runs: dict[int, list]) -> list:
+    """The items, laid out in runs of the given sizes, with the run at each
+    position of ``runs`` (ascending) replaced by the items it maps to."""
+    if not runs:
+        return items
+    starts, out, at = [0, *accumulate(sizes)], [], 0
+    for position, replacement in runs.items():
+        out += items[at : starts[position]]
+        out += replacement
+        at = starts[position + 1]
+    return out + items[at:]
+
+
+def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
+    """The fast accept of _accepted_spans over all steps, a block at a time:
+    the spans of all steps in turn, each step's count of them, and the
+    positions (from 0) of the steps it does not accept. A block holds the
+    steps up to about _BLOCK exchanges, and at least one step."""
+    spans, sizes, failing = [], [], set()
+    starts, first = [0, *accumulate(map(len, map(_EXCHANGES, steps)))], 0
+    while first < len(steps):
+        last = bisect_right(starts, starts[first] + _BLOCK, first + 2) - 1
+        block_spans, block_sizes, block_failing = _accept_block(steps[first:last], t)
+        spans += block_spans
+        sizes += block_sizes
+        failing.update(map(add, block_failing, repeat(first)))
+        first = last
+    return spans, sizes, failing
+
+
+def _accept_block(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
+    """What _accept gives, for steps checked all at once, each check a pass
+    over all their exchanges or one C call per step. A step with an exchange
+    that is not a tuple of two int hosts in 1..n counts no span."""
+    n = t.n_hosts
+    sizes = list(map(len, map(_EXCHANGES, steps)))
+    exchanges = list(chain.from_iterable(map(_EXCHANGES, steps)))
+    ends, failing = _ends(exchanges, n), {}
+    if ends is None:  # find the steps of those exchanges, one exchange at a time
+        steps_of = chain.from_iterable(map(repeat, count(), sizes))
+        failing = dict.fromkeys(sorted({
+            p for p, e in zip(steps_of, exchanges)
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int)
+            or not 1 <= min(e) <= max(e) <= n
+        }), ())
+        ends = _ends(_replace_runs(exchanges, sizes, failing), n)
+        for p in failing:
+            sizes[p] = 0
+    return ends[0], sizes, {*failing, *part_held_twice(t.kind, *ends, sizes)}
 
 
 def _overlaps(index: int, exchanges: list) -> list[Violation]:
@@ -208,26 +270,33 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     listed in pair order, at most MISSING_PAIR_LINES of them, then one
     "<count> more pairs missing".
     """
-    t = s.topology
+    t, steps = s.topology, s.steps
     violations: list[Violation] = []
-    # Every span in order with its step's index, in two flat lists: no
-    # object per step outlives the step for the cyclic collector to visit.
-    all_spans: list[tuple[int, int]] = []
-    span_steps: list[int] = []
-    for position, step in enumerate(s.steps, 1):
-        if step.index != position:
-            violations.append(
-                Violation(step.index, "step-index", f"expected index {position}")
-            )
-        spans = _accepted_spans(step, t)
-        if spans is None:
-            found, exchanges = _step_violations(step, t)
-            violations.extend(found)
-            spans = _spans(exchanges)
-        all_spans += spans
-        span_steps += repeat(step.index, len(spans))
+    all_spans, sizes, failing = _accept(steps, t)
+    misnumbered = compress(count(), map(ne, map(_INDEX, steps), count(1)))
+    # Only a misnumbered step or one the fast accept fails is looked at on
+    # its own; a failing one goes through the per-step path, and the spans
+    # it gives take the place of the step's own.
+    replaced = {}
+    for position in sorted(failing.union(misnumbered)):
+        step = steps[position]
+        if step.index != position + 1:
+            detail = f"expected index {position + 1}"
+            violations.append(Violation(step.index, "step-index", detail))
+        if position in failing:
+            spans = _accepted_spans(step, t)
+            if spans is None:
+                found, exchanges = _step_violations(step, t)
+                violations.extend(found)
+                spans = _spans(exchanges)
+            replaced[position] = spans
+    all_spans = _replace_runs(all_spans, sizes, replaced)
+    for position, spans in replaced.items():
+        sizes[position] = len(spans)
     seen = dict.fromkeys(all_spans)
     if len(seen) < len(all_spans):
+        # Each span's step index, in a flat list like the spans.
+        span_steps = list(chain.from_iterable(map(repeat, map(_INDEX, steps), sizes)))
         violations.extend(_duplicates(all_spans, span_steps))
     # With no violation (all hosts in 1..n, no pair twice), n(n-1)/2
     # distinct pairs are all the pairs.
@@ -235,7 +304,12 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     total = n * (n - 1) // 2
     if violations or len(seen) != total:
         # The walk stops one pair past the cap: at most cap + len(seen) pairs.
-        unseen = filterfalse(seen.__contains__, t.pairs())
+        # pairs() holds its n hosts, so past as many hosts as spans, it goes
+        # one host's partners at a time.
+        pairs = t.pairs() if n <= len(all_spans) else chain.from_iterable(
+            zip(repeat(a), range(a + 1, n + 1)) for a in t.hosts()
+        )
+        unseen = filterfalse(seen.__contains__, pairs)
         missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
         for p in missing[:MISSING_PAIR_LINES]:
             violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))

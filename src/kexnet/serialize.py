@@ -22,13 +22,20 @@ from __future__ import annotations
 import json
 import re
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, islice, repeat, starmap
+from operator import eq, itemgetter
 
 from .errors import ScheduleFormatError
 from .schedule import SbepStep, Schedule, as_pairs, exchange_span
 from .topology import TopologyKind, build_topology, NetworkTopology
 
 _STEP_RE = re.compile(r"^step [0-9]+:(?: \([0-9]+,[0-9]+\))*$")
+# Step lines, each ending in LF, and one such line's index and body.
+_STEPS_RE = re.compile(r"(?:step [0-9]+:(?: \([0-9]+,[0-9]+\))*\n)*")
+_LINE_RE = re.compile(r"step ([0-9]+):([^\n]*)\n")
+_HEAD, _BODY = itemgetter(0), itemgetter(1)
+# A text is read in blocks of whole lines of about this many characters.
+_BLOCK = 1 << 15
 # Past _STEP_RE and the "step " prefix, a line's ids lie between these marks.
 _ID_MARKS = str.maketrans(":(,)", "    ")
 # One pair as json.dumps(indent=2) lays it out inside a step, after the first.
@@ -63,9 +70,46 @@ def schedule_to_text(s: Schedule) -> str:
 
 
 def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
-    """Parse the line-oriented format back into a Schedule."""
+    """Parse the line-oriented format back into a Schedule.
+
+    The text is read in blocks of whole lines of about _BLOCK characters, so
+    that what a block splits into stays small; a block of step lines, each
+    ending in LF, is read at once, any other one line by line."""
+    steps: list[SbepStep] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        block = text[start:end]
+        steps += _block_steps(block) or _line_steps(block)
+        start = end
+    return Schedule(topology=topology, steps=tuple(steps))
+
+
+def _block_steps(block: str) -> list[SbepStep] | None:
+    """The steps of a block of step lines, each ending in LF, read with one
+    pass per check over the whole block; None if the block is not that, or
+    holds an id past int()'s digit limit or a self-pair."""
+    if _STEPS_RE.fullmatch(block) is None:
+        return None
+    lines = _LINE_RE.findall(block)
+    bodies = list(map(_BODY, lines))
+    try:
+        indices = list(map(int, map(_HEAD, lines)))
+        ids = map(int, "".join(bodies).translate(_ID_MARKS).split())
+        pairs = tuple(zip(ids, ids))
+    except ValueError:  # a 5000-digit id
+        return None
+    if any(starmap(eq, pairs)):
+        return None
+    sizes = map(str.count, bodies, repeat("("))
+    return list(map(SbepStep, indices, map(tuple, map(islice, repeat(iter(pairs)), sizes))))
+
+
+def _line_steps(block: str) -> list[SbepStep]:
+    """The steps of any text, line by line; blank lines are skipped. Raises
+    ScheduleFormatError naming the first line that is not a step."""
     steps = []
-    for line in text.splitlines():
+    for line in block.splitlines():
         if not line.strip():
             continue
         if _STEP_RE.match(line) is None:
@@ -76,7 +120,7 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
         except ValueError as exc:  # a 5000-digit id, or one host twice
             raise ScheduleFormatError(f"{exc} in line {line!r}") from exc
         steps.append(SbepStep(index, exchanges))
-    return Schedule(topology=topology, steps=tuple(steps))
+    return steps
 
 
 def schedule_to_json(s: Schedule) -> str:

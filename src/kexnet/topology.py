@@ -15,8 +15,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import chain, repeat, starmap
-from operator import eq, or_
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import add, eq, lshift, ne, or_, sub
 
 from .errors import InvalidSizeError
 
@@ -91,9 +91,8 @@ class NetworkTopology:
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Every unordered host pair as (low, high), in ascending order.
 
-        Lazy: it holds one host's partners at a time, never all n hosts."""
-        n = self.n_hosts
-        return chain.from_iterable(zip(repeat(a), range(a + 1, n + 1)) for a in self.hosts())
+        Lazy: it holds one pair at a time, never all n hosts."""
+        return combinations(self.hosts(), 2)
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,33 @@ def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
     return 1 << lo | 1 << hi
 
 
-def part_held_twice(kind: TopologyKind, spans: list[tuple[int, int]], hosts: list) -> bool:
-    """Whether two spans (lo, hi), lo <= hi, of one step with ends ``hosts``
-    hold the same part, or one is a self-pair. A set of the hosts or pairs
-    stands in for host or cable bits, which for a cable lie up to n^2/2 places up."""
+def part_held_twice(
+    kind: TopologyKind, spans: list, lows: list[int], highs: list[int], sizes: list[int]
+) -> set[int]:
+    """The positions (from 0) of the steps that hold a part twice or have a
+    self-pair, each step a run of ``sizes[p]`` spans (lo, hi), lo <= hi, of
+    hosts 1..n, all steps in turn, given with their lows and highs. Each test is a pass over
+    every span, or one C call per step: a set of a step's hosts or pairs
+    stands in for host or cable bits, which for a cable lie up to n^2/2
+    places up, and a chain step's parts_held masks are disjoint when their
+    sum is their union."""
     if kind is TopologyKind.LCH:
-        masks = [parts_held(kind, lo, hi) for lo, hi in spans]
-        return 0 in masks or sum(masks) != reduce(or_, masks, 0)
-    if kind is TopologyKind.FCN_FULL:
-        return len(set(spans)) < len(spans) or any(starmap(eq, spans))
-    return len(set(hosts)) < len(hosts)
+        masks = list(map(sub, map(lshift, repeat(1), highs), map(lshift, repeat(1), lows)))
+        union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
+        twice = map(ne, map(sum, _runs(masks, sizes)), union)
+    elif kind is TopologyKind.FCN_FULL:
+        twice = map(ne, map(len, map(set, _runs(spans, sizes))), sizes)
+    else:  # one host twice, as in a self-pair
+        hosts = map(chain, _runs(lows, sizes), _runs(highs, sizes))
+        return set(compress(count(), map(ne, map(len, map(set, hosts)), map(add, sizes, sizes))))
+    out = set(compress(count(), twice))
+    if not all(map(ne, lows, highs)):
+        steps = chain.from_iterable(map(repeat, count(), sizes))
+        out.update(compress(steps, map(eq, lows, highs)))
+    return out
+
+
+def _runs(items: list, sizes: list[int]) -> Iterator:
+    """The items in consecutive runs of the given sizes, each to be read
+    through before the next."""
+    return map(islice, repeat(iter(items)), sizes)

@@ -309,14 +309,25 @@ def test_no_part_held_twice_breaks_no_step_rule(kind, n, pairs):
     assert not kinds & {"capacity", "unknown-host", "lch-overlap"}
 
 
+_STEP_PAIRS = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=10)
+
+
 @pytest.mark.parametrize("kind", list(TopologyKind))
-@given(pairs=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=10))
-def test_part_rule_is_the_written_out_one(kind, pairs):
-    spans = [tuple(sorted(p)) for p in pairs]
-    parts = [_parts(kind, lo, hi) for lo, hi in spans if lo != hi]
-    shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
-    hosts = [h for span in spans for h in span]
-    assert part_held_twice(kind, spans, hosts) == (len(parts) < len(spans) or shared)
+@given(steps=st.lists(_STEP_PAIRS, max_size=4))
+def test_part_rule_is_the_written_out_one(kind, steps):
+    # Over the runs of several steps at once, the rule names each step that
+    # holds a part twice, written out pair by pair, or has a self-pair.
+    expected = set()
+    for position, pairs in enumerate(steps):
+        spans = [tuple(sorted(p)) for p in pairs]
+        parts = [_parts(kind, lo, hi) for lo, hi in spans if lo != hi]
+        shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
+        if len(parts) < len(spans) or shared:
+            expected.add(position)
+    spans = [tuple(sorted(p)) for pairs in steps for p in pairs]
+    lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
+    sizes = [len(pairs) for pairs in steps]
+    assert part_held_twice(kind, spans, lows, highs, sizes) == expected
     if kind is not TopologyKind.FCN_FULL:
         for lo, hi in {(lo, hi) for lo, hi in spans if lo < hi}:
             bits = parts_held(kind, lo, hi)
