@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 from .errors import DegenerateFitError, InvalidScenarioError
 from .protocols import generate_schedule, sbep_formula
@@ -128,7 +128,7 @@ def stops(t: NetworkTopology, failures: Iterable[FailureScenario]) -> Iterator[I
         if isinstance(f, CenterSwitchFailure):
             if kind is not TopologyKind.STAR:
                 raise InvalidScenarioError("only the star network has a center switch")
-            yield combinations(t.hosts(), 2)
+            yield t.pairs()
         elif isinstance(f, KeyExchangerFailure):
             h, slot = f.host, f.slot
             if not _is_id(h, n):
@@ -168,8 +168,11 @@ def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
     """((low, high) pairs that can still exchange, hosts with degraded capacity):
-    the pairs no failure stops, and the chain hosts that lost one slot of two."""
-    ok = frozenset(combinations(t.hosts(), 2)).difference(*stops(t, failures))
+    the pairs no failure stops, and the chain hosts that lost one slot of two.
+    A center failure stops every pair, which are then not listed."""
+    stopped = list(stops(t, failures))  # checks every failure
+    center = any(isinstance(f, CenterSwitchFailure) for f in failures)
+    ok = frozenset() if center else frozenset(t.pairs()).difference(*stopped)
     slots = {(f.host, f.slot or 1) for f in failures if isinstance(f, KeyExchangerFailure)}
     hosts = [h for h, _ in slots] if t.kind is TopologyKind.LCH else []
     return ok, frozenset(h for h in hosts if hosts.count(h) == 1)

@@ -449,6 +449,19 @@ def test_capable_pairs_matches_pair_walk(case):
         before = expected[0]
 
 
+def test_center_failure_stops_every_pair_and_the_rest_are_checked():
+    # No pair is listed once the center is gone, yet each failure beside it
+    # still goes through stops and is checked, before or after it.
+    t = build_topology(TopologyKind.STAR, 600)
+    failures = [CableFailure(3), CenterSwitchFailure(), KeyExchangerFailure(9)]
+    assert capable_pairs(t, failures) == (frozenset(), frozenset())
+    assert capable_pairs(t, failures) == _reference_capable_pairs(t, failures)
+    for bad in (CableFailure(601), KeyExchangerFailure(2.5), CableFailure((1, 2))):
+        for order in ([CenterSwitchFailure(), bad], [bad, CenterSwitchFailure()]):
+            with pytest.raises(InvalidScenarioError):
+                capable_pairs(t, order)
+
+
 def _stop_count(t, f):
     """How many pairs ``f`` stops as the first failure of ``t``."""
     n = t.n_hosts
