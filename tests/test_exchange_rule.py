@@ -7,17 +7,20 @@ decides otherwise."""
 
 import json
 import re
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import eq
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kexnet import schedule
 from kexnet.errors import ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
     SbepStep,
     Schedule,
+    _accept,
     _accepted_spans,
     as_pairs,
     exchange_span,
@@ -244,6 +247,25 @@ def test_one_rule_at_every_boundary(kind, n, steps):
     ):
         out = _run(write, s)
         assert isinstance(out, ValueError) if unwritable else write(parse(out)) == out
+
+
+@settings(deadline=None, max_examples=400)
+@given(kind=_KINDS, n=st.integers(2, 6), steps=_STEPS, block=st.integers(1, 9))
+def test_fast_accept_is_the_per_step_one(kind, n, steps, block):
+    # Over blocks of every size, the fast accept refuses the steps that
+    # _accepted_spans refuses, and gives the others' spans as it does.
+    t = build_topology(kind, n)
+    s = Schedule(t, tuple(SbepStep(i, tuple(step)) for i, step in enumerate(steps, 1)))
+    with patch.object(schedule, "_BLOCK", block):
+        spans, sizes, failing = _accept(s.steps, t)
+    per_step = [_accepted_spans(step, t) for step in s.steps]
+    assert failing == {p for p, got in enumerate(per_step) if got is None}
+    assert len(sizes) == len(s.steps) and sum(sizes) == len(spans)
+    runs = iter(spans)
+    for position, size in enumerate(sizes):
+        run = list(islice(runs, size))
+        if position not in failing:
+            assert run == per_step[position]
 
 
 @settings(deadline=None, max_examples=400)

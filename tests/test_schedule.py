@@ -3,10 +3,12 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import groupby
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kexnet import schedule
 from kexnet.errors import ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import (
@@ -278,6 +280,62 @@ def test_validator_matches_reference(kind, n, hows, data):
     for how in hows:
         s = _corrupt(s, how, data)
     assert validate_schedule(s) == _reference_validate(s)
+
+
+@pytest.mark.parametrize("kind", [TopologyKind.LCH, TopologyKind.STAR])
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    how=st.sampled_from(CORRUPTIONS),
+    block=st.sampled_from([1, 7, 64, schedule._BLOCK]),
+    data=st.data(),
+)
+def test_one_bad_step_matches_reference(kind, n, how, block, data):
+    # One corrupted step, anywhere in a block of steps or alone in one.
+    s = _corrupt(generate_schedule(kind, n), how, data)
+    with patch.object(schedule, "_BLOCK", block):
+        assert validate_schedule(s) == _capped(_reference_validate(s))
+
+
+def _one_bad_step(s, position, how):
+    steps = list(s.steps)
+    index, exchanges = steps[position]
+    a, b = exchanges[0]
+    n = s.topology.n_hosts
+    bad = {
+        "host n+1": ((a, n + 1), *exchanges[1:]),
+        "self-pair": (*exchanges, (a, a)),
+        "host twice": (*exchanges, (a, exchanges[1][0])),
+        "non-int host": ((a, float(b)), *exchanges[1:]),
+        "not two hosts": ((a, b, 1), *exchanges[1:]),
+    }[how]
+    steps[position] = SbepStep(index, bad)
+    return Schedule(s.topology, tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "how", ["host n+1", "self-pair", "host twice", "non-int host", "not two hosts"]
+)
+def test_one_bad_step_alone_takes_the_per_step_path(how, monkeypatch):
+    # Of the 499 steps of star n=400, only the bad one goes step by step.
+    s = generate_star(400)
+    bad = _one_bad_step(s, 300, how)
+    looked_at = []
+    for name in ("_accepted_spans", "_step_violations"):
+        per_step = getattr(schedule, name)
+        spy = lambda step, t, per_step=per_step, name=name: (
+            looked_at.append((name, step.index)) or per_step(step, t)
+        )
+        monkeypatch.setattr(schedule, name, spy)
+    assert validate_schedule(s).ok and looked_at == []
+    report = validate_schedule(bad)
+    assert looked_at == [("_accepted_spans", 301), ("_step_violations", 301)]
+    past_reference = {"non-int host": "unknown-host", "not two hosts": "bad-exchange"}
+    if how in past_reference:
+        first = report.violations[0]
+        assert (first.step_index, first.kind) == (301, past_reference[how])
+    else:
+        assert report == _capped(_reference_validate(bad))
 
 
 def _parts(kind, a, b):

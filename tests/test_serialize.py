@@ -1,9 +1,11 @@
 import json
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kexnet import serialize
 from kexnet.errors import ScheduleFormatError
 from kexnet.protocols import generate_schedule, generate_star
 from kexnet.schedule import SbepStep, Schedule, exchange_span
@@ -287,3 +289,70 @@ def test_text_parser_outcomes_pinned(line, expected):
     text = line + "\n"
     got = _outcome(text_to_schedule, text, topo)
     assert got == _outcome(_reference_text_to_schedule, text, topo) == expected
+
+
+# --- the whole-block parse against the per-line one ---------------------------
+
+_GENERATED_TEXT = {
+    (kind, n): schedule_to_text(generate_schedule(kind, n))
+    for kind in TopologyKind
+    for n in range(2, 65)
+}
+_EXCHANGE = re.compile(r" \([0-9]+,[0-9]+\)")
+
+
+def _mutated(text, how, data):
+    """``text`` with one change of kind ``how``, at places drawn from ``data``."""
+    lines = text.splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    found = list(_EXCHANGE.finditer(line))
+    if how == "crlf":
+        lines[at] = line.replace("\n", "\r\n")
+    elif how == "blank":
+        lines.insert(at, data.draw(st.sampled_from(["\n", "  \n", "\r\n"])))
+    elif how == "no final LF":
+        lines[-1] = lines[-1].rstrip("\n")
+    elif how == "non-ASCII digit":
+        digits = [i for i, c in enumerate(line) if c.isdigit()] or [0]
+        i = data.draw(st.sampled_from(digits))
+        lines[at] = line[:i] + data.draw(st.sampled_from("٣²３")) + line[i + 1 :]
+    elif found:
+        m = data.draw(st.sampled_from(found))
+        a, b = m.group()[2:-1].split(",")
+        change = {
+            "self-pair": f" ({a},{a})",
+            "5000-digit id": f" ({a},{'9' * 5000})",
+            "drop": "",
+            "duplicate": m.group() * 2,
+        }[how]
+        lines[at] = line[: m.start()] + change + line[m.end() :]
+    return "".join(lines)
+
+
+_MUTATIONS = (
+    "crlf", "blank", "no final LF", "non-ASCII digit", "self-pair", "5000-digit id",
+    "drop", "duplicate",
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(list(TopologyKind)),
+    n=st.integers(2, 64),
+    hows=st.lists(st.sampled_from(_MUTATIONS), max_size=3),
+    block=st.sampled_from([None, 1, 40, 1000]),
+    data=st.data(),
+)
+def test_block_parse_matches_line_parse(kind, n, hows, block, data):
+    # The same Schedule, or the same error message, as the parse line by
+    # line, over blocks of every size from one line up.
+    text = _GENERATED_TEXT[kind, n]
+    for how in hows:
+        text = _mutated(text, how, data)
+    topo = build_topology(kind, n)
+    with patch.object(serialize, "_BLOCK", block or serialize._BLOCK):
+        got = _outcome(text_to_schedule, text, topo)
+    line_by_line = lambda text, topo: Schedule(topo, tuple(serialize._line_steps(text)))
+    assert got == _outcome(line_by_line, text, topo)
+    assert got == _outcome(_reference_text_to_schedule, text, topo)
