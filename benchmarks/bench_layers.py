@@ -2,15 +2,17 @@
 
 One benchmark per row of that table, plus the fcn1 generator, the text
 writer that the star round trip also runs, the validator on the chain
-schedule at n=256 and on one failing chain step of 4,000 exchanges, and the
-simulator on star n=600 with five failures at five times. Each
-times one layer call in
-process: generators, validator, serializers, capable pairs, simulator,
-oracle and four CLI commands. ``test_star_roundtrip`` and
+schedules at n=32, 64 and 256, on a star n=400 schedule with one bad step
+and on one failing chain step of 4,000 exchanges, the text parser on the
+chains at n=32 and 64, capable pairs with a star n=600 center failure, and
+the simulator on star n=600 with five failures at five times. Each times
+one layer call in process: generators, validator, serializers, capable
+pairs, simulator, oracle and five CLI commands. ``test_star_roundtrip`` and
 ``test_star_roundtrip_text`` time the whole star round trip at n=400
 (generate, write, parse, validate) in each format as one number, and
 ``test_cli_star_roundtrip`` times it as two commands, ``schedule`` then
-``validate``, through ``cli.main``. pytest-benchmark leaves the cyclic
+``validate``, through ``cli.main``; ``test_cli_chain_roundtrip`` does the
+same for the chain at n=64 in text. pytest-benchmark leaves the cyclic
 garbage collector on, so the library rows still pay for the collector
 passes that a CLI command, which pauses it, no longer does.
 Inputs are built outside the timed call. Run from the repository root:
@@ -29,12 +31,17 @@ import json
 import pytest
 
 from kexnet import oracle, protocols, serialize, simengine
-from kexnet.analysis import CableFailure, KeyExchangerFailure, capable_pairs
+from kexnet.analysis import (
+    CableFailure,
+    CenterSwitchFailure,
+    KeyExchangerFailure,
+    capable_pairs,
+)
 from kexnet.cli import main
 from kexnet.schedule import Schedule, validate_schedule
 from kexnet.topology import TopologyKind, build_topology
 
-STAR = TopologyKind.STAR
+STAR, LCH = TopologyKind.STAR, TopologyKind.LCH
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +58,9 @@ def test_generate_fcn_single(benchmark):
 
 
 @pytest.mark.parametrize(
-    "kind,n", [(STAR, 400), (TopologyKind.FCN_FULL, 400), (TopologyKind.LCH, 256)],
-    ids=["star", "fcn-full", "lch"],
+    "kind,n",
+    [(STAR, 400), (TopologyKind.FCN_FULL, 400), (LCH, 256), (LCH, 32), (LCH, 64)],
+    ids=["star", "fcn-full", "lch", "lch32", "lch64"],
 )
 def test_validate_schedule(benchmark, kind, n):
     schedule = protocols.generate_schedule(kind, n)
@@ -67,10 +75,20 @@ def test_validate_schedule_missing_pair(benchmark, star400):
     assert [v.kind for v in report.violations] == ["missing-pair"]
 
 
+def test_validate_schedule_one_bad_step(benchmark, star400):
+    # One step holds a host twice, as in perfbench's "dup" corruption: that
+    # step alone goes through the per-step path.
+    steps = [step.exchanges for step in star400.steps]
+    (a, _), (b, _) = steps[300][:2]
+    steps[300] += ((a, b),)
+    report = benchmark(validate_schedule, Schedule.from_pairs(star400.topology, steps))
+    assert report.violations[0].step_index == 301
+
+
 def test_validate_schedule_failing_chain_step(benchmark):
     # One step (0,1) (1,2) ... (3999,4000) on a chain of 4,000 hosts: host 0
     # makes it fail, and its spans, which overlap none, are not paired up.
-    topology = build_topology(TopologyKind.LCH, 4000)
+    topology = build_topology(LCH, 4000)
     schedule = Schedule.from_pairs(topology, [[(h, h + 1) for h in range(4000)]])
     report = benchmark(validate_schedule, schedule)
     assert report.violations[0].detail == "host 0"
@@ -108,9 +126,11 @@ def test_json_to_schedule(benchmark, star400):
     assert benchmark(serialize.json_to_schedule, text) == star400
 
 
-def test_text_to_schedule(benchmark, star400):
-    text = serialize.schedule_to_text(star400)
-    assert benchmark(serialize.text_to_schedule, text, star400.topology) == star400
+@pytest.mark.parametrize("kind,n", [(STAR, 400), (LCH, 32), (LCH, 64)], ids=["star", "lch32", "lch64"])
+def test_text_to_schedule(benchmark, kind, n):
+    schedule = protocols.generate_schedule(kind, n)
+    text = serialize.schedule_to_text(schedule)
+    assert benchmark(serialize.text_to_schedule, text, schedule.topology) == schedule
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
@@ -139,13 +159,16 @@ def test_simengine_run(benchmark, n, k, failures):
 
 
 @pytest.mark.parametrize(
-    "kind,n,cuts,capable",
-    [(STAR, 150, [3], 149 * 148 // 2), (TopologyKind.LCH, 24, [8, 16], 3 * 28)],
-    ids=["star150-cable", "lch24-two-cuts"],
+    "kind,n,failures,capable",
+    [
+        (STAR, 150, [CableFailure(3)], 149 * 148 // 2),
+        (LCH, 24, [CableFailure(8), CableFailure(16)], 3 * 28),
+        (STAR, 600, [CableFailure(3), CenterSwitchFailure()], 0),
+    ],
+    ids=["star150-cable", "lch24-two-cuts", "star600-center"],
 )
-def test_capable_pairs(benchmark, kind, n, cuts, capable):
-    topo = build_topology(kind, n)
-    ok, _ = benchmark(capable_pairs, topo, [CableFailure(c) for c in cuts])
+def test_capable_pairs(benchmark, kind, n, failures, capable):
+    ok, _ = benchmark(capable_pairs, build_topology(kind, n), failures)
     assert len(ok) == capable
 
 
@@ -172,7 +195,7 @@ def test_cli_simulate(benchmark, fmt):
 # star n=9 and chain n=14 are the rows the recursive oracle could not finish.
 @pytest.mark.parametrize(
     "kind,n",
-    [(STAR, 8), (TopologyKind.FCN_SINGLE, 8), (STAR, 9), (TopologyKind.LCH, 14)],
+    [(STAR, 8), (TopologyKind.FCN_SINGLE, 8), (STAR, 9), (LCH, 14)],
 )
 def test_oracle(benchmark, kind, n):
     benchmark(oracle.min_steps_bruteforce, kind, n)
@@ -198,6 +221,17 @@ def test_cli_validate_empty_star600(benchmark, tmp_path):
 def _cli_star_roundtrip(path):
     schedule = ["schedule", "--topology", "star", "--n", "400", "--format", "json"]
     return main([*schedule, "--out", path]), main(["validate", "--in", path])
+
+
+def _cli_chain_roundtrip(path):
+    schedule = ["schedule", "--topology", "lch", "--n", "64"]
+    validate = ["validate", "--in", path, "--topology", "lch", "--n", "64"]
+    return main([*schedule, "--out", path]), main(validate)
+
+
+def test_cli_chain_roundtrip(benchmark, tmp_path):
+    # The largest chain of the chain-search workload, written as text and read back.
+    assert benchmark(_cli_chain_roundtrip, str(tmp_path / "lch64.txt")) == (0, 0)
 
 
 def test_cli_star_roundtrip(benchmark, tmp_path):

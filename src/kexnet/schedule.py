@@ -130,15 +130,6 @@ def _ends(exchanges, n: int) -> tuple[list, list, list] | None:
     return (spans, lows, highs) if not spans or 1 <= min(lows) and max(highs) <= n else None
 
 
-def _accepted_spans(step: SbepStep, t: NetworkTopology) -> list | None:
-    """The step's exchanges as (lo, hi) spans if each is a tuple of two int
-    hosts in 1..n and no part is held twice, else None."""
-    ends = _ends(step.exchanges, t.n_hosts)
-    if ends is None or part_held_twice(t.kind, *ends, [len(ends[0])]):
-        return None
-    return ends[0]
-
-
 def _replace_runs(items: list, sizes: list[int], runs: dict[int, list]) -> list:
     """The items, laid out in runs of the given sizes, with the run at each
     position of ``runs`` (ascending) replaced by the items it maps to."""
@@ -153,10 +144,11 @@ def _replace_runs(items: list, sizes: list[int], runs: dict[int, list]) -> list:
 
 
 def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
-    """The fast accept of _accepted_spans over all steps, a block at a time:
-    the spans of all steps in turn, each step's count of them, and the
-    positions (from 0) of the steps it does not accept. A block holds the
-    steps up to about _BLOCK exchanges, and at least one step."""
+    """The fast accept, a block of steps at a time: the spans of all steps in
+    turn, each step's count of them, and the positions (from 0) of the steps
+    it does not accept. A step is accepted if each exchange is a tuple of two
+    int hosts in 1..n and no part is held twice. A block holds the steps up
+    to about _BLOCK exchanges, and at least one step."""
     spans, sizes, failing = [], [], set()
     starts, first = [0, *accumulate(map(len, map(_EXCHANGES, steps)))], 0
     while first < len(steps):
@@ -284,12 +276,9 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             detail = f"expected index {position + 1}"
             violations.append(Violation(step.index, "step-index", detail))
         if position in failing:
-            spans = _accepted_spans(step, t)
-            if spans is None:
-                found, exchanges = _step_violations(step, t)
-                violations.extend(found)
-                spans = _spans(exchanges)
-            replaced[position] = spans
+            found, exchanges = _step_violations(step, t)
+            violations.extend(found)
+            replaced[position] = _spans(exchanges)
     all_spans = _replace_runs(all_spans, sizes, replaced)
     for position, spans in replaced.items():
         sizes[position] = len(spans)

@@ -91,7 +91,7 @@ class NetworkTopology:
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Every unordered host pair as (low, high), in ascending order.
 
-        Lazy: it holds one pair at a time, never all n hosts."""
+        Lazy: it holds the n hosts, never all the pairs."""
         return combinations(self.hosts(), 2)
 
 
@@ -161,11 +161,11 @@ def part_held_twice(
 ) -> set[int]:
     """The positions (from 0) of the steps that hold a part twice or have a
     self-pair, each step a run of ``sizes[p]`` spans (lo, hi), lo <= hi, of
-    hosts 1..n, all steps in turn, given with their lows and highs. Each test is a pass over
-    every span, or one C call per step: a set of a step's hosts or pairs
-    stands in for host or cable bits, which for a cable lie up to n^2/2
-    places up, and a chain step's parts_held masks are disjoint when their
-    sum is their union."""
+    hosts 1..n, all steps in turn, given with their lows and highs. Each
+    test is a pass over every span, or one C call per step: a set of a
+    step's hosts or pairs stands in for host or cable bits, which for a
+    cable lie up to n^2/2 places up, and a chain step's parts_held masks are
+    disjoint when their sum is their union."""
     if kind is TopologyKind.LCH:
         masks = list(map(sub, map(lshift, repeat(1), highs), map(lshift, repeat(1), lows)))
         union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))

@@ -7,8 +7,9 @@ decides otherwise."""
 
 import json
 import re
-from itertools import chain, count, islice
-from operator import eq
+from functools import reduce
+from itertools import chain, count, islice, starmap
+from operator import eq, or_
 from unittest.mock import patch
 
 import pytest
@@ -21,7 +22,6 @@ from kexnet.schedule import (
     SbepStep,
     Schedule,
     _accept,
-    _accepted_spans,
     as_pairs,
     exchange_span,
     validate_schedule,
@@ -32,7 +32,7 @@ from kexnet.serialize import (
     schedule_to_text,
     text_to_schedule,
 )
-from kexnet.topology import TopologyKind, build_topology
+from kexnet.topology import TopologyKind, build_topology, parts_held
 
 # --- the boundaries before the rule, kept as the reference --------------------
 
@@ -233,10 +233,12 @@ def test_one_rule_at_every_boundary(kind, n, steps):
         ints = {type(h) for h in chain.from_iterable(pairs)} <= {int}
         assert ints == (not any(map(_no_span, verdicts)))
     # The validator's fast accept gives the rule's spans.
-    for step in s.steps:
-        spans = _accepted_spans(step, t)
-        if spans is not None:
-            assert spans == [exchange_span(e) for e in step.exchanges]
+    spans, sizes, failing = _accept(s.steps, t)
+    runs = iter(spans)
+    for position, (step, size) in enumerate(zip(s.steps, sizes)):
+        run = list(islice(runs, size))
+        if position not in failing:
+            assert run == [exchange_span(e) for e in step.exchanges]
 
     # Each writer refuses an exchange with no span or a negative host, or
     # writes what its parser reads back to the same bytes.
@@ -249,16 +251,44 @@ def test_one_rule_at_every_boundary(kind, n, steps):
         assert isinstance(out, ValueError) if unwritable else write(parse(out)) == out
 
 
+def _reference_part_held_twice(kind, spans, hosts):
+    """The part rule of one step, before it took the runs of many."""
+    if kind is TopologyKind.LCH:
+        masks = [parts_held(kind, lo, hi) for lo, hi in spans]
+        return 0 in masks or sum(masks) != reduce(or_, masks, 0)
+    if kind is TopologyKind.FCN_FULL:
+        return len(set(spans)) < len(spans) or any(starmap(eq, spans))
+    return len(set(hosts)) < len(hosts)
+
+
+def _reference_accepted_spans(step, t):
+    """The validator's fast accept, one step at a time, as it was before it
+    took blocks of steps."""
+    exchanges = step.exchanges
+    if set(map(type, exchanges)) - {tuple}:
+        return None
+    try:
+        spans = [e if a < b else (b, a) for e in exchanges for a, b in (e,)]
+    except (TypeError, ValueError):  # an exchange that is not two comparable hosts
+        return None
+    lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
+    hosts = lows + highs
+    if set(map(type, hosts)) - {int}:
+        return None
+    bounded = not spans or 1 <= min(lows) and max(highs) <= t.n_hosts
+    return spans if bounded and not _reference_part_held_twice(t.kind, spans, hosts) else None
+
+
 @settings(deadline=None, max_examples=400)
 @given(kind=_KINDS, n=st.integers(2, 6), steps=_STEPS, block=st.integers(1, 9))
 def test_fast_accept_is_the_per_step_one(kind, n, steps, block):
-    # Over blocks of every size, the fast accept refuses the steps that
-    # _accepted_spans refuses, and gives the others' spans as it does.
+    # Over blocks of every size, the fast accept refuses the steps that the
+    # per-step accept refuses, and gives the others' spans as it does.
     t = build_topology(kind, n)
     s = Schedule(t, tuple(SbepStep(i, tuple(step)) for i, step in enumerate(steps, 1)))
     with patch.object(schedule, "_BLOCK", block):
         spans, sizes, failing = _accept(s.steps, t)
-    per_step = [_accepted_spans(step, t) for step in s.steps]
+    per_step = [_reference_accepted_spans(step, t) for step in s.steps]
     assert failing == {p for p, got in enumerate(per_step) if got is None}
     assert len(sizes) == len(s.steps) and sum(sizes) == len(spans)
     runs = iter(spans)
