@@ -169,6 +169,8 @@ def _accept_block(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], se
     sizes = list(map(len, map(_EXCHANGES, steps)))
     exchanges = list(chain.from_iterable(map(_EXCHANGES, steps)))
     ends, failing = _ends(exchanges, n), {}
+    if ends is None and len(steps) == 1:  # a step of its own fails as a whole
+        return [], [0], {0}
     if ends is None:  # find the steps of those exchanges, one exchange at a time
         steps_of = chain.from_iterable(map(repeat, count(), sizes))
         failing = dict.fromkeys(sorted({
