@@ -169,15 +169,8 @@ def _accept_block(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], se
     sizes = list(map(len, map(_EXCHANGES, steps)))
     exchanges = list(chain.from_iterable(map(_EXCHANGES, steps)))
     ends, failing = _ends(exchanges, n), {}
-    if ends is None and len(steps) == 1:  # a step of its own fails as a whole
-        return [], [0], {0}
-    if ends is None:  # find the steps of those exchanges, one exchange at a time
-        steps_of = chain.from_iterable(map(repeat, count(), sizes))
-        failing = dict.fromkeys(sorted({
-            p for p, e in zip(steps_of, exchanges)
-            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int)
-            or not 1 <= min(e) <= max(e) <= n
-        }), ())
+    if ends is None:  # find those steps, one step at a time
+        failing = {p: () for p, step in enumerate(steps) if _ends(step.exchanges, n) is None}
         ends = _ends(_replace_runs(exchanges, sizes, failing), n)
         for p in failing:
             sizes[p] = 0
@@ -297,9 +290,7 @@ def validate_schedule(s: Schedule) -> ValidationReport:
         # The walk stops one pair past the cap: at most cap + len(seen) pairs.
         # pairs() holds its n hosts, so past as many hosts as spans, it goes
         # one host's partners at a time.
-        pairs = t.pairs() if n <= len(all_spans) else chain.from_iterable(
-            zip(repeat(a), range(a + 1, n + 1)) for a in t.hosts()
-        )
+        pairs = t.pairs() if n <= len(all_spans) else t.pairs_by_host()
         unseen = filterfalse(seen.__contains__, pairs)
         missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
         for p in missing[:MISSING_PAIR_LINES]:

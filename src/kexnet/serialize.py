@@ -29,11 +29,12 @@ from .errors import ScheduleFormatError
 from .schedule import SbepStep, Schedule, as_pairs, exchange_span
 from .topology import TopologyKind, build_topology, NetworkTopology
 
-_STEP_RE = re.compile(r"^step [0-9]+:(?: \([0-9]+,[0-9]+\))*$")
-# Step lines, each ending in LF, and one such line's index and body.
-_STEPS_RE = re.compile(r"(?:step [0-9]+:(?: \([0-9]+,[0-9]+\))*\n)*")
-_LINE_RE = re.compile(r"step ([0-9]+):([^\n]*)\n")
-_HEAD, _BODY = itemgetter(0), itemgetter(1)
+# One step line, and step lines each ending in LF.
+_LINE = r"step [0-9]+:(?: \([0-9]+,[0-9]+\))*"
+_STEP_RE = re.compile(f"^{_LINE}$")
+_STEPS_RE = re.compile(f"(?:{_LINE}\n)*")
+# A step line's index, past "step ".
+_INDEX = itemgetter(slice(5, None))
 # A text is read in blocks of whole lines of about this many characters;
 # larger blocks held more strings at once and were read no faster.
 _BLOCK = 1 << 13
@@ -92,10 +93,9 @@ def _block_steps(block: str) -> list[SbepStep] | None:
     holds an id past int()'s digit limit or a self-pair."""
     if _STEPS_RE.fullmatch(block) is None:
         return None
-    lines = _LINE_RE.findall(block)
-    bodies = list(map(_BODY, lines))
+    heads, _, bodies = zip(*map(str.partition, block.splitlines(), repeat(":")))
     try:
-        indices = list(map(int, map(_HEAD, lines)))
+        indices = list(map(int, map(_INDEX, heads)))
         ids = map(int, "".join(bodies).translate(_ID_MARKS).split())
         pairs = tuple(zip(ids, ids))
     except ValueError:  # a 5000-digit id

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, combinations, compress, count, islice, repeat
-from operator import add, eq, lshift, ne, or_, sub
+from operator import add, eq, ne, or_
 
 from .errors import InvalidSizeError
 
@@ -94,6 +94,13 @@ class NetworkTopology:
         Lazy: it holds the n hosts, never all the pairs."""
         return combinations(self.hosts(), 2)
 
+    def pairs_by_host(self) -> Iterator[tuple[int, int]]:
+        """The pairs of pairs(), in the same order, holding one host's
+        partners at a time rather than all n hosts: for a walk that may stop
+        after a few pairs of a large network."""
+        n = self.n_hosts
+        return chain.from_iterable(zip(repeat(a), range(a + 1, n + 1)) for a in self.hosts())
+
 
 @dataclass(frozen=True)
 class CostProfile:
@@ -167,7 +174,7 @@ def part_held_twice(
     cable lie up to n^2/2 places up, and a chain step's parts_held masks are
     disjoint when their sum is their union."""
     if kind is TopologyKind.LCH:
-        masks = list(map(sub, map(lshift, repeat(1), highs), map(lshift, repeat(1), lows)))
+        masks = list(map(parts_held, repeat(kind), lows, highs))
         union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
         twice = map(ne, map(sum, _runs(masks, sizes)), union)
     elif kind is TopologyKind.FCN_FULL:

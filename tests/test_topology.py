@@ -128,6 +128,12 @@ def test_pairs_of_one_more_host():
         assert set(new) - set(old) == {(a, n + 1) for a in range(1, n + 1)}
 
 
+def test_pairs_by_host_are_pairs():
+    for n in range(2, 21):
+        t = build_topology(TopologyKind.STAR, n)
+        assert list(t.pairs_by_host()) == list(t.pairs())
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_asymptotic_sanity(n):
     # exact arithmetic: FCN cables / N^2 -> 1/2, STAR cables / N -> 1
