@@ -140,3 +140,23 @@ def test_simulate_digest_cases_are_frozen():
 @pytest.mark.parametrize("digest,argv", SIM_DIGESTS, ids=[a for _, a in SIM_DIGESTS])
 def test_simulate_matches_frozen_digest(digest, argv):
     assert stdout_digest(argv.split()) == (0, digest)
+
+
+# compare in csv for every n from 2 to 64: one line per n, the sha256 of its
+# stdout, then its arguments. Every per-kind count, class and failure text
+# of the table is in it.
+COMPARE_DIGESTS = [
+    line.split(" ", 1)
+    for line in (GOLDEN / "compare_sha256.txt").read_text().splitlines()
+]
+
+
+def test_compare_digest_cases_are_frozen():
+    assert [argv for _, argv in COMPARE_DIGESTS] == [
+        f"compare --n {n} --format csv" for n in range(2, 65)
+    ]
+
+
+@pytest.mark.parametrize("digest,argv", COMPARE_DIGESTS, ids=[a for _, a in COMPARE_DIGESTS])
+def test_compare_matches_frozen_digest(digest, argv):
+    assert stdout_digest(argv.split()) == (0, digest)

@@ -152,6 +152,35 @@ def test_search_ceiling(capsys):
         assert len(err.splitlines()) == 1
 
 
+MATCHING_BOUND = "chromatic_index_lower_bound / overhead_table"
+
+
+@pytest.mark.parametrize(
+    "kind,n,instead",
+    [
+        ("star", 21, MATCHING_BOUND),
+        ("fcn1", 21, MATCHING_BOUND),
+        ("fcn-full", 21, MATCHING_BOUND),
+        ("lch", 109, "chain_cut_lower_bound"),
+    ],
+)
+def test_search_ceiling_message(kind, n, instead):
+    # One past each kind's ceiling, the refusal names the ceiling, the kind
+    # and the bound to use instead, word for word.
+    with pytest.raises(SearchTooLargeError) as refused:
+        min_steps_bruteforce(TopologyKind(kind), n)
+    assert str(refused.value) == (
+        f"exhaustive search capped at n={n - 1} for {kind}; use {instead} instead"
+    )
+
+
+def test_search_runs_at_fcn_full_ceiling():
+    # Each fcn-full pair has its own cable, so all 190 pairs share one step.
+    result = min_steps_bruteforce(TopologyKind.FCN_FULL, 20)
+    assert result.min_steps == 1
+    assert validate_schedule(result.witness).ok
+
+
 class _Started(Exception):
     pass
 
