@@ -122,11 +122,11 @@ def stops(t: NetworkTopology, failures: Iterable[FailureScenario]) -> Iterator[I
     a chain segment; one for a fully connected cable or fcn-full slot; and for
     a chain slot none, or the host's once its other slot is lost too. Raises
     InvalidScenarioError on reaching a failure of a component t does not have."""
-    n, kind, cap = t.n_hosts, t.kind, t.exchangers_per_host
+    n, g, cap = t.n_hosts, t.geometry, t.exchangers_per_host
     lost_slots: set[tuple[int, int]] = set()
     for f in failures:
         if isinstance(f, CenterSwitchFailure):
-            if kind is not TopologyKind.STAR:
+            if not g.center_switch:
                 raise InvalidScenarioError("only the star network has a center switch")
             yield t.pairs()
         elif isinstance(f, KeyExchangerFailure):
@@ -135,22 +135,22 @@ def stops(t: NetworkTopology, failures: Iterable[FailureScenario]) -> Iterator[I
                 raise InvalidScenarioError(f"no host {h} in a {n}-host network")
             if slot is not None and not _is_id(slot, cap):
                 raise InvalidScenarioError(f"host {h} has {cap} exchanger(s), no slot {slot}")
-            if kind is TopologyKind.FCN_FULL:
+            if g.exchanger_per_peer:
                 if slot is None:
                     raise InvalidScenarioError("FCN_FULL exchanger failure needs a slot")
                 # Slots map to the host's peers in ascending order.
                 yield (tuple(sorted((h, slot + (slot >= h)))),)
             else:
                 lost_slots.add((h, slot or 1))
-                dead = kind is not TopologyKind.LCH or {(h, 1), (h, 2)} <= lost_slots
+                dead = all((h, s) in lost_slots for s in range(1, cap + 1))
                 yield _host_pairs(n, h) if dead else ()
         elif not isinstance(f, CableFailure):
             raise InvalidScenarioError(f"unknown scenario {f!r}")
-        elif kind is TopologyKind.STAR:
+        elif g.cable == "spoke":
             if not _is_id(f.ident, n):
                 raise InvalidScenarioError(f"no star spoke {f.ident!r}")
             yield _host_pairs(n, f.ident)
-        elif kind is TopologyKind.LCH:
+        elif g.cable == "segment":
             if not _is_id(f.ident, n - 1):
                 raise InvalidScenarioError(f"no chain segment {f.ident!r}")
             yield product(range(1, f.ident + 1), range(f.ident + 1, n + 1))
@@ -168,14 +168,15 @@ def capable_pairs(
     t: NetworkTopology, failures: list[FailureScenario]
 ) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
     """((low, high) pairs that can still exchange, hosts with degraded capacity):
-    the pairs no failure stops, and the chain hosts that lost one slot of two.
-    A center failure stops every pair, which are then not listed."""
+    the pairs no failure stops, and the hosts that lost some, not all, of the
+    exchangers their peers share (a chain host, one slot of two). A center
+    failure stops every pair, which are then not listed."""
     stopped = list(stops(t, failures))  # checks every failure
     center = any(isinstance(f, CenterSwitchFailure) for f in failures)
     ok = frozenset() if center else frozenset(t.pairs()).difference(*stopped)
     slots = {(f.host, f.slot or 1) for f in failures if isinstance(f, KeyExchangerFailure)}
-    hosts = [h for h, _ in slots] if t.kind is TopologyKind.LCH else []
-    return ok, frozenset(h for h in hosts if hosts.count(h) == 1)
+    hosts = [] if t.geometry.exchanger_per_peer else [h for h, _ in slots]
+    return ok, frozenset(h for h in hosts if hosts.count(h) < t.exchangers_per_host)
 
 
 def apply_failures(
@@ -201,26 +202,12 @@ class ComparisonRow:
     single_point_of_failure: str
 
 
-_SPOF = {
-    TopologyKind.FCN_FULL: "none (single cable loss affects one pair)",
-    TopologyKind.FCN_SINGLE: "none (single cable loss affects one pair)",
-    TopologyKind.LCH: "any cable segment splits the network in two",
-    TopologyKind.STAR: "center switch disconnects the entire network",
-}
-
-
 def compare_networks(n: int) -> list[ComparisonRow]:
     """Concrete counts, generated step count, and failure summary per kind."""
     rows = []
     for kind in TopologyKind:
         topo = build_topology(kind, n)
-        schedule = generate_schedule(kind, n)
-        rows.append(
-            ComparisonRow(
-                kind=kind,
-                costs=cost_profile(topo),
-                step_count=len(schedule.steps),
-                single_point_of_failure=_SPOF[kind],
-            )
-        )
+        steps = len(generate_schedule(kind, n).steps)
+        spof = topo.geometry.single_point_of_failure
+        rows.append(ComparisonRow(kind, cost_profile(topo), steps, spof))
     return rows

@@ -20,10 +20,7 @@ from operator import or_
 from .errors import InvalidSizeError, SearchTooLargeError
 from .protocols import sbep_formula
 from .schedule import Schedule
-from .topology import TopologyKind, build_topology, parts_held
-
-EXHAUSTIVE_CEILING = 20
-LCH_CEILING = 108
+from .topology import GEOMETRIES, TopologyKind, build_topology, parts_held
 
 
 @dataclass(frozen=True)
@@ -120,20 +117,16 @@ def min_steps_bruteforce(kind: TopologyKind, n: int) -> OracleResult:
     fewest steps in which every pair exchanges once, the exchanges of one
     step holding disjoint parts (see ``topology.parts_held``).
 
-    Exhaustive up to n=20 for star, fcn1 and fcn-full and n=108 for the
-    chain; larger sizes raise SearchTooLargeError and should use the bound
-    operations instead.
+    Exhaustive up to the kind's ``Geometry.ceiling``; larger sizes raise
+    SearchTooLargeError, naming the bound operations to use instead.
     """
     if n < 2:
         raise InvalidSizeError(f"need at least 2 hosts, got {n}")
-    if kind is TopologyKind.LCH:
-        ceiling, instead = LCH_CEILING, "chain_cut_lower_bound"
-    else:
-        ceiling, instead = EXHAUSTIVE_CEILING, "chromatic_index_lower_bound / overhead_table"
-    if n > ceiling:
+    g = GEOMETRIES[kind]
+    if n > g.ceiling:
         raise SearchTooLargeError(
-            f"exhaustive search capped at n={ceiling} for {kind.value}; "
-            f"use {instead} instead"
+            f"exhaustive search capped at n={g.ceiling} for {kind.value}; "
+            f"use {g.bound} instead"
         )
     topo = build_topology(kind, n)
     pairs = list(topo.pairs())

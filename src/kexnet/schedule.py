@@ -16,7 +16,7 @@ from itertools import accumulate, chain, compress, count, filterfalse, islice, r
 from operator import add, attrgetter, eq, itemgetter, ne
 from typing import NamedTuple
 
-from .topology import NetworkTopology, TopologyKind, part_held_twice
+from .topology import NetworkTopology, part_held_twice
 
 
 class SbepStep(NamedTuple):
@@ -224,7 +224,7 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     # Any other value by its repr, be it True, 2.0 or an unhashable list.
     for other in sorted({repr(h) for h in hosts if type(h) is not int}):
         out.append(Violation(step.index, "unknown-host", f"host {other}"))
-    if t.kind is TopologyKind.LCH:
+    if t.geometry.part == "segments":
         out.extend(_overlaps(step.index, exchanges))
     return out, exchanges
 

@@ -7,11 +7,13 @@ key exchangers each host carries and whether a center switch is present:
 * FCN_SINGLE -- fully connected, 1 exchanger per host
 * LCH        -- linear chain (bus), 2 exchangers per host
 * STAR       -- hub and spoke, 1 exchanger per host plus a center switch
+Each kind's facts are one record in ``GEOMETRIES``; its generator is in
+``protocols``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -40,28 +42,50 @@ class CostMetric(str, Enum):
     TIME = "time"
 
 
-# Asymptotic growth of cable count, exchanger count, and full-exchange time.
-_COMPLEXITY: dict[TopologyKind, dict[CostMetric, ComplexityClass]] = {
-    TopologyKind.FCN_FULL: {
-        CostMetric.CABLE: ComplexityClass.ON2,
-        CostMetric.KE: ComplexityClass.ON2,
-        CostMetric.TIME: ComplexityClass.O1,
-    },
-    TopologyKind.FCN_SINGLE: {
-        CostMetric.CABLE: ComplexityClass.ON2,
-        CostMetric.KE: ComplexityClass.ON,
-        CostMetric.TIME: ComplexityClass.ON,
-    },
-    TopologyKind.LCH: {
-        CostMetric.CABLE: ComplexityClass.ON,
-        CostMetric.KE: ComplexityClass.ON,
-        CostMetric.TIME: ComplexityClass.ON2,
-    },
-    TopologyKind.STAR: {
-        CostMetric.CABLE: ComplexityClass.ON,
-        CostMetric.KE: ComplexityClass.ON,
-        CostMetric.TIME: ComplexityClass.ON,
-    },
+@dataclass(frozen=True)
+class Geometry:
+    """Every fact of one kind of network but its generator."""
+
+    exchangers: Callable[[int], int]  # per host, of the host count n
+    cables: Callable[[int], int]  # of n
+    center_switch: bool
+    classes: tuple[ComplexityClass, ...]  # growth of cable, ke and time
+    single_point_of_failure: str
+    cable: str  # it joins a host to the center ("spoke"), k to k+1 ("segment") or a "pair"
+    exchanger_per_peer: bool  # each serves one peer (slot order), else all serve every peer
+    part: str  # what an exchange holds for its step: the rule of parts_held
+    ceiling: int  # the largest n the oracle searches
+    bound: str  # what the oracle's refusal past the ceiling says to use
+
+
+_O1, _ON, _ON2 = ComplexityClass
+_MATCHING = "chromatic_index_lower_bound / overhead_table"
+_ONE_PAIR = "none (single cable loss affects one pair)"
+
+GEOMETRIES: dict[TopologyKind, Geometry] = {
+    TopologyKind.FCN_FULL: Geometry(
+        exchangers=lambda n: n - 1, cables=lambda n: n * (n - 1) // 2, center_switch=False,
+        classes=(_ON2, _ON2, _O1), single_point_of_failure=_ONE_PAIR, cable="pair",
+        exchanger_per_peer=True, part="cable", ceiling=20, bound=_MATCHING,
+    ),
+    TopologyKind.FCN_SINGLE: Geometry(
+        exchangers=lambda n: 1, cables=lambda n: n * (n - 1) // 2, center_switch=False,
+        classes=(_ON2, _ON, _ON), single_point_of_failure=_ONE_PAIR, cable="pair",
+        exchanger_per_peer=False, part="hosts", ceiling=20, bound=_MATCHING,
+    ),
+    TopologyKind.LCH: Geometry(
+        exchangers=lambda n: 2, cables=lambda n: n - 1, center_switch=False,
+        classes=(_ON, _ON, _ON2),
+        single_point_of_failure="any cable segment splits the network in two",
+        cable="segment", exchanger_per_peer=False, part="segments",
+        ceiling=108, bound="chain_cut_lower_bound",
+    ),
+    TopologyKind.STAR: Geometry(
+        exchangers=lambda n: 1, cables=lambda n: n, center_switch=True,
+        classes=(_ON, _ON, _ON),
+        single_point_of_failure="center switch disconnects the entire network",
+        cable="spoke", exchanger_per_peer=False, part="hosts", ceiling=20, bound=_MATCHING,
+    ),
 }
 
 
@@ -75,14 +99,16 @@ class NetworkTopology:
     n_hosts: int
 
     @property
+    def geometry(self) -> Geometry:
+        return GEOMETRIES[self.kind]
+
+    @property
     def exchangers_per_host(self) -> int:
-        if self.kind is TopologyKind.FCN_FULL:
-            return self.n_hosts - 1
-        return 2 if self.kind is TopologyKind.LCH else 1
+        return self.geometry.exchangers(self.n_hosts)
 
     @property
     def has_center_switch(self) -> bool:
-        return self.kind is TopologyKind.STAR
+        return self.geometry.center_switch
 
     def hosts(self) -> range:
         """1-based host indices."""
@@ -125,30 +151,14 @@ def build_topology(kind: TopologyKind, n: int) -> NetworkTopology:
 
 
 def cost_profile(t: NetworkTopology) -> CostProfile:
-    """Cable, exchanger, and center-switch counts with their growth classes.
-
-    Both fully connected variants need N(N-1)/2 cables; the chain needs one
-    cable per segment and the star one spoke per host (the center switch is
-    counted separately).
-    """
-    n = t.n_hosts
-    if t.kind in (TopologyKind.FCN_FULL, TopologyKind.FCN_SINGLE):
-        cables = n * (n - 1) // 2
-    else:
-        cables = n - 1 if t.kind is TopologyKind.LCH else n
-    return CostProfile(
-        cable_count=cables,
-        exchanger_count=n * t.exchangers_per_host,
-        center_switch_count=int(t.has_center_switch),
-        class_cable=complexity_class(t.kind, CostMetric.CABLE),
-        class_ke=complexity_class(t.kind, CostMetric.KE),
-        class_time=complexity_class(t.kind, CostMetric.TIME),
-    )
+    """Cable, exchanger, and center-switch counts with their growth classes."""
+    g, n = t.geometry, t.n_hosts
+    return CostProfile(g.cables(n), n * g.exchangers(n), int(g.center_switch), *g.classes)
 
 
 def complexity_class(kind: TopologyKind, metric: CostMetric | str) -> ComplexityClass:
     """Asymptotic class of a cost metric for a topology kind."""
-    return _COMPLEXITY[kind][CostMetric(metric)]
+    return dict(zip(CostMetric, GEOMETRIES[kind].classes))[CostMetric(metric)]
 
 
 def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
@@ -156,9 +166,10 @@ def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
     no other exchange of the step may hold, as bits: the chain segments it
     crosses (bit k joins hosts k and k+1), its own fcn-full cable (numbered
     by high host, then low), or its two hosts."""
-    if kind is TopologyKind.LCH:
+    part = GEOMETRIES[kind].part
+    if part == "segments":
         return (1 << hi) - (1 << lo)
-    if kind is TopologyKind.FCN_FULL:
+    if part == "cable":
         return 1 << (hi - 1) * (hi - 2) // 2 + lo - 1
     return 1 << lo | 1 << hi
 
@@ -173,11 +184,12 @@ def part_held_twice(
     step's hosts or pairs stands in for host or cable bits, which for a
     cable lie up to n^2/2 places up, and a chain step's parts_held masks are
     disjoint when their sum is their union."""
-    if kind is TopologyKind.LCH:
+    part = GEOMETRIES[kind].part
+    if part == "segments":
         masks = list(map(parts_held, repeat(kind), lows, highs))
         union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
         twice = map(ne, map(sum, _runs(masks, sizes)), union)
-    elif kind is TopologyKind.FCN_FULL:
+    elif part == "cable":
         twice = map(ne, map(len, map(set, _runs(spans, sizes))), sizes)
     else:  # one host twice, as in a self-pair
         hosts = map(chain, _runs(lows, sizes), _runs(highs, sizes))

@@ -42,3 +42,37 @@ def test_perfbench_bindings_stay_bound():
     assert len(names) > 10
     missing = [f"{m}.{a}" for m, a in names if not hasattr(importlib.import_module(m), a)]
     assert not missing
+
+
+def test_kind_facts_in_one_record():
+    # A kind is named only where TopologyKind defines it, in
+    # topology.GEOMETRIES, its one record, and in protocols, whose generator
+    # table topology cannot import: no TopologyKind.<MEMBER> elsewhere, nor a
+    # kind by its value, as in TopologyKind("lch") or kind == "lch".
+    from kexnet.topology import GEOMETRIES, TopologyKind
+
+    assert set(GEOMETRIES) == set(TopologyKind)
+    members, values = set(TopologyKind.__members__), {k.value for k in TopologyKind}
+    named = []
+    for path in sorted(DIRS[0].glob("*.py")):
+        if path.name == "protocols.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tops = tree.body if path.name == "topology.py" else []
+        allowed = {
+            id(node)
+            for top in tops
+            if getattr(top, "name", None) == "TopologyKind"
+            or isinstance(top, ast.AnnAssign) and top.target.id == "GEOMETRIES"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in members and (
+                isinstance(node.value, ast.Name) and node.value.id == "TopologyKind"
+            ):
+                named.append(f"{path.name}:{node.lineno}: TopologyKind.{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in values:
+                named.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not named
