@@ -282,11 +282,12 @@ def validate_schedule(s: Schedule) -> ValidationReport:
         # Each span's step index, in a flat list like the spans.
         span_steps = list(chain.from_iterable(map(repeat, map(_INDEX, steps), sizes)))
         violations.extend(_duplicates(all_spans, span_steps))
-    # With no violation (all hosts in 1..n, no pair twice), n(n-1)/2
-    # distinct pairs are all the pairs.
+    # Spans in 1..n are pairs, so unless a span lies off the network, which
+    # only a replaced step can give, n(n-1)/2 distinct spans are all pairs.
     n = t.n_hosts
     total = n * (n - 1) // 2
-    if violations or len(seen) != total:
+    off = any(lo < 1 or hi > n for spans in replaced.values() for lo, hi in spans)
+    if off or len(seen) != total:
         # The walk stops one pair past the cap: at most cap + len(seen) pairs.
         # pairs() holds its n hosts, so past as many hosts as spans, it goes
         # one host's partners at a time; up to there pairs() is the faster

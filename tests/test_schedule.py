@@ -25,7 +25,13 @@ from kexnet.serialize import (
     schedule_to_text,
     text_to_schedule,
 )
-from kexnet.topology import TopologyKind, build_topology, part_held_twice, parts_held
+from kexnet.topology import (
+    NetworkTopology,
+    TopologyKind,
+    build_topology,
+    part_held_twice,
+    parts_held,
+)
 
 
 def make_schedule(kind, n, steps):
@@ -656,6 +662,25 @@ def test_missing_pairs_walk_bounded():
     assert report.violations[99] == Violation(None, "missing-pair", "(1,101)")
     more = 10**5 * (10**5 - 1) // 2 - 100
     assert report.violations[100].detail == f"{more} more pairs missing"
+
+
+@pytest.mark.parametrize("kind,n", [(TopologyKind.STAR, 40), (TopologyKind.FCN_SINGLE, 12)])
+def test_no_missing_pair_walk_with_every_pair_seen(kind, n, monkeypatch):
+    # One pair copied into another step, as in perfbench's "dup" corruption:
+    # every span lies in 1..n and all n(n-1)/2 pairs are seen, so the report
+    # names no missing pair without walking the pairs.
+    steps = [list(step.exchanges) for step in generate_schedule(kind, n).steps]
+    steps[-1].append(steps[0][0])
+    s = make_schedule(kind, n, steps)
+    expected = _reference_validate(s)
+    assert "duplicate-pair" in {v.kind for v in expected.violations}
+
+    def no_walk(self):
+        raise AssertionError("walked the pairs")
+
+    monkeypatch.setattr(NetworkTopology, "pairs", no_walk)
+    monkeypatch.setattr(NetworkTopology, "pairs_by_host", no_walk)
+    assert validate_schedule(s) == expected
 
 
 def test_validate_memory_does_not_grow_with_n():
