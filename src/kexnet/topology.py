@@ -7,6 +7,7 @@ key exchangers each host carries and whether a center switch is present:
 * FCN_SINGLE -- fully connected, 1 exchanger per host
 * LCH        -- linear chain (bus), 2 exchangers per host
 * STAR       -- hub and spoke, 1 exchanger per host plus a center switch
+
 Each kind's facts are one record in ``GEOMETRIES``; its generator is in
 ``protocols``.
 """
