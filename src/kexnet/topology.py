@@ -20,6 +20,7 @@ from enum import Enum
 from functools import reduce
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import add, eq, ne, or_
+from typing import NamedTuple
 
 from .errors import InvalidSizeError
 
@@ -43,8 +44,7 @@ class CostMetric(str, Enum):
     TIME = "time"
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     """Every fact of one kind of network but its generator."""
 
     exchangers: Callable[[int], int]  # per host, of the host count n
