@@ -5,6 +5,7 @@ import importlib
 import pathlib
 
 import kexnet
+from kexnet.topology import GEOMETRIES, TopologyKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIRS = [pathlib.Path(kexnet.__file__).parent, ROOT / "tests", ROOT / "benchmarks"]
@@ -49,8 +50,6 @@ def test_kind_facts_in_one_record():
     # topology.GEOMETRIES, its one record, and in protocols, whose generator
     # table topology cannot import: no TopologyKind.<MEMBER> elsewhere, nor a
     # kind by its value, as in TopologyKind("lch") or kind == "lch".
-    from kexnet.topology import GEOMETRIES, TopologyKind
-
     assert set(GEOMETRIES) == set(TopologyKind)
     members, values = set(TopologyKind.__members__), {k.value for k in TopologyKind}
     named = []
