@@ -1,28 +1,36 @@
-"""Alternated perfbench runs of two checkouts, summed up per end-to-end metric.
+"""Alternated benchmark runs of two checkouts, summed up per metric.
 
-Runs the checkouts' own, unchanged ``perfbench/run.py`` once per seed in
-each, one run at a time, in ABBA order: the first seed runs the parent
+Runs one side at a time, in ABBA order: the first pair runs the parent
 first, the second the change first, and so on, so that a drift of the
-host's speed falls on both sides alike. For each end-to-end metric that
-``BENCHMARK.json`` names, it prints both sides' medians and in how many
-pairs (the two runs of one seed) the change was better. From the root of
-a checkout:
+host's speed falls on both sides alike. It prints both sides' medians per
+metric and in how many pairs the change was better. From the root of a
+checkout:
 
     python3 benchmarks/alternate.py PARENT CHANGE --workload chain-search --seeds 1-10
     python3 benchmarks/alternate.py PARENT CHANGE --workload star-roundtrip --seeds 1,2 \\
         --seconds 20 --json out.json
+    python3 benchmarks/alternate.py PARENT CHANGE --layers "cli_compare or oracle" --pairs 5
 
-``--json`` also writes every run and the summary (medians, quartiles and
-ranges of both sides) to a file. Only the standard library is used.
+With ``--workload`` a pair is the checkouts' own, unchanged
+``perfbench/run.py`` run once each with one seed, and the metrics are the
+end-to-end ones that ``BENCHMARK.json`` names. With ``--layers`` a pair is
+one ``benchmarks/bench_layers.py`` run in each checkout over the rows that
+``pytest -k`` selects with the given expression (PYTHONPATH=src, which
+needs pytest-benchmark), and a metric is one row's median time, lower being
+better; a row only one side has is left out. ``--json`` also writes every
+run and the summary (medians, quartiles and ranges of both sides) to a
+file. Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -41,6 +49,19 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def layer_run(checkout: Path, rows: str) -> dict[str, float]:
+    """One bench_layers.py run of ``checkout`` over the rows ``-k rows``
+    selects: each row's median time in ms."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "layers.json"
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "benchmarks/bench_layers.py", "-k", rows, f"--benchmark-json={out}"]
+        env = {**os.environ, "PYTHONPATH": "src"}
+        subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+        doc = json.loads(out.read_text())
+    return {row["name"]: row["stats"]["median"] * 1e3 for row in doc["benchmarks"]}
 
 
 def summary(pairs: list[tuple[float, float]], better: str) -> dict:
@@ -66,41 +87,63 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds, required=True, help="e.g. 1-10 or 1,4,7")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="a perfbench workload")
+    mode.add_argument("--layers", metavar="EXPR", help="bench_layers.py rows, as for pytest -k")
+    parser.add_argument("--seeds", type=seeds, help="with --workload: e.g. 1-10 or 1,4,7")
+    parser.add_argument("--pairs", type=int, default=10, help="with --layers (default 10)")
     parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--json", type=Path, help="also write every run and the summary here")
     args = parser.parse_args(argv)
-    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    if args.workload:
+        if not args.seeds:
+            parser.error("--workload needs --seeds")
+        bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+        seconds = args.seconds or bench["run_seconds"]
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        labels, title = args.seeds, args.workload
+
+        def measure(checkout: Path, seed: int) -> dict:
+            result = run(checkout, args.workload, seed, seconds)
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            return {"correct": result["correct"], "failed": result["failed"], **values}
+    else:
+        labels, title = list(range(1, args.pairs + 1)), f"bench_layers -k {args.layers!r}, ms"
+
+        def measure(checkout: Path, _: int) -> dict:
+            return layer_run(checkout, args.layers)
 
     runs = []
-    for i, seed in enumerate(args.seeds):
+    for i, label in enumerate(labels):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(getattr(args, side), args.workload, seed, seconds)
-            values = {name: m["value"] for name, m in result["metrics"].items()}
-            runs.append({"seed": seed, "side": side, "correct": result["correct"],
-                         "failed": result["failed"], **values})
-            print(f"seed {seed} {side}: " + ", ".join(f"{k} {values[k]}" for k in metrics),
-                  file=sys.stderr, flush=True)
+            values = measure(getattr(args, side), label)
+            runs.append({"pair": label, "side": side, **values})
+            shown = ", ".join(
+                f"{k} {v:.4g}" for k, v in values.items() if k not in ("correct", "failed")
+            )
+            print(f"pair {label} {side}: {shown}", file=sys.stderr, flush=True)
 
-    by_seed = {(r["seed"], r["side"]): r for r in runs}
-    sides = [(by_seed[s, "parent"], by_seed[s, "change"]) for s in args.seeds]
+    by_pair = {(r["pair"], r["side"]): r for r in runs}
+    sides = [(by_pair[p, "parent"], by_pair[p, "change"]) for p in labels]
+    if not args.workload:  # every row both sides timed in every pair
+        rows = set.intersection(*(set(r) for r in runs)) - {"pair", "side"}
+        better = dict.fromkeys(sorted(rows), "lower")
     table = {
-        name: summary([(parent[name], change[name]) for parent, change in sides], better)
-        for name, better in metrics.items()
+        name: summary([(parent[name], change[name]) for parent, change in sides], how)
+        for name, how in better.items()
     }
-    print(f"{args.workload}, {len(args.seeds)} pairs: metric, parent median, change median, "
+    print(f"{title}, {len(labels)} pairs: metric, parent median, change median, "
           "change better in")
     for name, row in table.items():
         print(f"  {name}: {row['parent_median']:.4g} -> {row['change_median']:.4g}, "
               f"{row['change_better_pairs']}/{row['pairs']}")
     if args.json:
-        order = "seeds in turn; the first seed parent first, the next change first, and so on"
-        doc = {"workload": args.workload, "seconds": seconds, "order": order,
-               "summary": table, "runs": runs}
+        order = "pairs in turn; the first parent first, the next change first, and so on"
+        mode = {"workload": args.workload, "seconds": seconds} if args.workload else {
+            "layers": args.layers, "unit": "ms"}
+        doc = {**mode, "order": order, "summary": table, "runs": runs}
         args.json.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -4,10 +4,11 @@ One benchmark per row of that table, plus the fcn1 generator, the text
 writer that the star round trip also runs, the validator on the chain
 schedules at n=32, 64 and 256, on a star n=400 schedule with one bad step
 and on one failing chain step of 4,000 exchanges, the text parser on the
-chains at n=32 and 64, capable pairs with a star n=600 center failure, and
-the simulator on star n=600 with five failures at five times. Each times
-one layer call in process: generators, validator, serializers, capable
-pairs, simulator, oracle and five CLI commands. ``test_star_roundtrip`` and
+chains at n=32 and 64, capable pairs with a star n=600 center failure, the
+simulator on star n=600 with five failures at five times, and compare at
+n=1000 beside n=200. Each times one layer call in process: generators,
+validator, serializers, capable pairs, simulator, oracle and five CLI
+commands. ``test_star_roundtrip`` and
 ``test_star_roundtrip_text`` time the whole star round trip at n=400
 (generate, write, parse, validate) in each format as one number, and
 ``test_cli_star_roundtrip`` times it as two commands, ``schedule`` then
@@ -206,8 +207,13 @@ def test_cli_formula(benchmark):
 
 
 def test_cli_compare(benchmark):
-    # Generates all four schedules at n=200 to count their steps.
+    # Reads every count, steps too, from the geometry records: O(1) in n.
     assert benchmark(main, ["compare", "--n", "200", "--format", "csv"]) == 0
+
+
+def test_cli_compare_n1000(benchmark):
+    # As fast as n=200; it took about 1.2 s while compare built the schedules.
+    assert benchmark(main, ["compare", "--n", "1000", "--format", "csv"]) == 0
 
 
 def test_cli_validate_empty_star600(benchmark, tmp_path):

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
+from operator import add
 
 from . import analysis, oracle, protocols, serialize, simengine
 from .errors import KexnetError, ScheduleFormatError
@@ -33,6 +35,9 @@ class UsageError(Exception):
 # Output formats of formula, compare and simulate. KEXNET_FORMAT gives the
 # default; main checks it, as argparse checks no default against choices.
 _FORMATS = ["table", "csv", "json"]
+# One pair's bits as json.dumps(indent=2) lays them out in bits_per_pair,
+# after the first.
+_JSON_BITS = ',\n    "%d-%d": %d'
 
 
 def _parse_range(text: str) -> range:
@@ -98,13 +103,12 @@ def _write_out(path: str | None, content: str) -> None:
             os.unlink(tmp)
 
 
-def _tabular(fmt: str, columns: dict[str, list], doc=None) -> str:
-    """Render columns (name -> values) as a table or csv, or as json:
-    ``doc`` if given, else one record per row. No cell is empty or ends in
-    a space, so a table pads every column but the last."""
+def _tabular(fmt: str, columns: dict[str, list]) -> str:
+    """Render columns (name -> values) as a table or csv, or as json, one
+    record per row. No cell is empty or ends in a space, so a table pads
+    every column but the last."""
     if fmt == "json":
-        if doc is None:
-            doc = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        doc = [dict(zip(columns, row)) for row in zip(*columns.values())]
         return json.dumps(doc, indent=2) + "\n"
     cells = [[name, *map(str, values)] for name, values in columns.items()]
     if fmt == "csv":
@@ -201,22 +205,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     failures = tuple(sorted((_parse_failure(f) for f in args.fail), key=lambda x: x[0]))
     config = simengine.SimConfig(topology=topo, key_bits=args.k, failures=failures)
     report = simengine.run(config)
+    if args.format == "json":
+        _write_out(args.out, _simulate_json(report))
+        return EXIT_OK
     columns = {
         "pair": list(map("%d-%d".__mod__, report.bits_per_pair)),
         "bits": list(report.bits_per_pair.values()),
     }
-    summary = simengine.utilization_profile(report)
-    doc = {
-        "steps_executed": report.steps_executed,
-        "bits_per_pair": dict(zip(columns["pair"], columns["bits"])),
-        "lost_pairs": list(map("%d-%d".__mod__, sorted(report.lost_pairs))),
-        "utilization": {
-            "min": summary.minimum,
-            "mean": summary.mean,
-            "max": summary.maximum,
-        },
-    }
-    out = _tabular(args.format, columns, doc)
+    out = _tabular(args.format, columns)
     if args.format == "table":
         out += (
             f"steps_executed {report.steps_executed}\n"
@@ -224,6 +220,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     _write_out(args.out, out)
     return EXIT_OK
+
+
+def _simulate_json(report: simengine.SimReport) -> str:
+    """The bytes of json.dumps(doc, indent=2) + "\\n" for a run's document.
+    Its one large part, bits_per_pair, is written with one pattern, as
+    serialize.schedule_to_json writes steps; json.dumps does the rest."""
+    summary = simengine.utilization_profile(report)
+    doc = {
+        "steps_executed": report.steps_executed,
+        "bits_per_pair": {},
+        "lost_pairs": list(map("%d-%d".__mod__, sorted(report.lost_pairs))),
+        "utilization": {"min": summary.minimum, "mean": summary.mean, "max": summary.maximum},
+    }
+    out = json.dumps(doc, indent=2) + "\n"
+    bits = report.bits_per_pair  # every pair, so never empty
+    pattern = "{" + (_JSON_BITS * len(bits))[1:] + "\n  }"
+    body = pattern % tuple(chain.from_iterable(map(add, bits, zip(bits.values()))))
+    return out.replace('"bits_per_pair": {}', '"bits_per_pair": ' + body, 1)
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:

@@ -18,9 +18,8 @@ from functools import reduce
 from operator import or_
 
 from .errors import InvalidSizeError, SearchTooLargeError
-from .protocols import sbep_formula
 from .schedule import Schedule
-from .topology import GEOMETRIES, TopologyKind, build_topology, parts_held
+from .topology import GEOMETRIES, TopologyKind, build_topology, parts_held, sbep_formula
 
 
 @dataclass(frozen=True)

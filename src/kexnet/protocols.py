@@ -1,4 +1,4 @@
-"""Schedule generators for the four topologies and the SBEP count formula.
+"""Schedule generators for the four topologies.
 
 The star generator works by neighbor distance: for distance d, the
 exchanges {i, i+d mod N} form gcd(N, d) disjoint cycles. Each cycle is
@@ -17,17 +17,7 @@ from operator import itemgetter
 
 from .errors import InvalidSizeError, ModelInconsistencyError, ProtocolConstructionError
 from .schedule import Schedule
-from .topology import TopologyKind, build_topology
-
-
-def sbep_formula(n: int) -> int:
-    """Number of SBEP steps the star protocol needs for n hosts."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 hosts, got {n}")
-    quarter = math.ceil(n / 4)
-    if n <= 8:
-        return n + quarter - (2 if n % 2 == 0 else 1)
-    return n + quarter - (1 if n % 2 == 0 else 0)
+from .topology import GEOMETRIES, TopologyKind, build_topology, sbep_formula
 
 
 def _raw_count(n: int, d: int) -> int:
@@ -170,12 +160,6 @@ def generate_star(n: int) -> Schedule:
         steps += phases[:2] + [sorted(residual)] + phases[2:]
     if n % 2 == 0:
         steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])
-
-    if len(steps) != sbep_formula(n):
-        raise ProtocolConstructionError(
-            f"star construction produced {len(steps)} steps at n={n}, "
-            f"expected {sbep_formula(n)}"
-        )
     return Schedule.from_pairs(topo, steps)
 
 
@@ -237,5 +221,14 @@ _GENERATORS = {
 
 
 def generate_schedule(kind: TopologyKind, n: int) -> Schedule:
-    """Dispatch to the generator for ``kind``."""
-    return _GENERATORS[kind](n)
+    """Dispatch to the generator for ``kind``. Raises ProtocolConstructionError
+    unless the schedule has the ``steps(n)`` steps of the kind's geometry
+    record, the count that ``compare`` prints."""
+    schedule = _GENERATORS[kind](n)
+    expected = GEOMETRIES[kind].steps(n)
+    if len(schedule.steps) != expected:
+        raise ProtocolConstructionError(
+            f"{kind.value} construction produced {len(schedule.steps)} steps at n={n}, "
+            f"expected {expected}"
+        )
+    return schedule

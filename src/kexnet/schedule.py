@@ -43,7 +43,8 @@ class Schedule:
         pairs = as_pairs(exchanges)
         if pairs is not exchanges:  # lists made tuples: each step takes its own
             built = tuple(map(tuple, map(islice, repeat(iter(pairs)), map(len, built))))
-        return cls(topology, tuple(map(SbepStep, count(1), built)))
+        # tuple.__new__ builds each step in C, not by a Python call as SbepStep(...) does.
+        return cls(topology, tuple(map(tuple.__new__, repeat(SbepStep), zip(count(1), built))))
 
 
 def _two(e) -> bool:

@@ -103,7 +103,9 @@ def _block_steps(block: str) -> list[SbepStep] | None:
     if any(starmap(eq, pairs)):
         return None
     sizes = map(str.count, bodies, repeat("("))
-    return list(map(SbepStep, indices, map(tuple, map(islice, repeat(iter(pairs)), sizes))))
+    exchanges = map(tuple, map(islice, repeat(iter(pairs)), sizes))
+    # Each SbepStep built in C, as in Schedule.from_pairs.
+    return list(map(tuple.__new__, repeat(SbepStep), zip(indices, exchanges)))
 
 
 def _line_steps(block: str) -> list[SbepStep]:

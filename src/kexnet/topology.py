@@ -44,11 +44,22 @@ class CostMetric(str, Enum):
     TIME = "time"
 
 
+def sbep_formula(n: int) -> int:
+    """Number of SBEP steps the star protocol needs for n hosts."""
+    if n < 2:
+        raise InvalidSizeError(f"need at least 2 hosts, got {n}")
+    quarter = -(-n // 4)  # ceil(n / 4) in ints: a float loses n past 2**53
+    if n <= 8:
+        return n + quarter - (2 if n % 2 == 0 else 1)
+    return n + quarter - (1 if n % 2 == 0 else 0)
+
+
 class Geometry(NamedTuple):
     """Every fact of one kind of network but its generator."""
 
     exchangers: Callable[[int], int]  # per host, of the host count n
     cables: Callable[[int], int]  # of n
+    steps: Callable[[int], int]  # SBEP steps of n hosts, which generate_schedule checks
     center_switch: bool
     classes: tuple[ComplexityClass, ...]  # growth of cable, ke and time
     single_point_of_failure: str
@@ -65,25 +76,27 @@ _ONE_PAIR = "none (single cable loss affects one pair)"
 
 GEOMETRIES: dict[TopologyKind, Geometry] = {
     TopologyKind.FCN_FULL: Geometry(
-        exchangers=lambda n: n - 1, cables=lambda n: n * (n - 1) // 2, center_switch=False,
-        classes=(_ON2, _ON2, _O1), single_point_of_failure=_ONE_PAIR, cable="pair",
+        exchangers=lambda n: n - 1, cables=lambda n: n * (n - 1) // 2, steps=lambda n: 1,
+        center_switch=False, classes=(_ON2, _ON2, _O1),
+        single_point_of_failure=_ONE_PAIR, cable="pair",
         exchanger_per_peer=True, part="cable", ceiling=20, bound=_MATCHING,
     ),
     TopologyKind.FCN_SINGLE: Geometry(
-        exchangers=lambda n: 1, cables=lambda n: n * (n - 1) // 2, center_switch=False,
-        classes=(_ON2, _ON, _ON), single_point_of_failure=_ONE_PAIR, cable="pair",
+        exchangers=lambda n: 1, cables=lambda n: n * (n - 1) // 2,
+        steps=lambda n: n - 1 + n % 2, center_switch=False, classes=(_ON2, _ON, _ON),
+        single_point_of_failure=_ONE_PAIR, cable="pair",
         exchanger_per_peer=False, part="hosts", ceiling=20, bound=_MATCHING,
     ),
     TopologyKind.LCH: Geometry(
-        exchangers=lambda n: 2, cables=lambda n: n - 1, center_switch=False,
-        classes=(_ON, _ON, _ON2),
+        exchangers=lambda n: 2, cables=lambda n: n - 1, steps=lambda n: n * n // 4,
+        center_switch=False, classes=(_ON, _ON, _ON2),
         single_point_of_failure="any cable segment splits the network in two",
         cable="segment", exchanger_per_peer=False, part="segments",
         ceiling=108, bound="chain_cut_lower_bound",
     ),
     TopologyKind.STAR: Geometry(
-        exchangers=lambda n: 1, cables=lambda n: n, center_switch=True,
-        classes=(_ON, _ON, _ON),
+        exchangers=lambda n: 1, cables=lambda n: n, steps=sbep_formula,
+        center_switch=True, classes=(_ON, _ON, _ON),
         single_point_of_failure="center switch disconnects the entire network",
         cable="spoke", exchanger_per_peer=False, part="hosts", ceiling=20, bound=_MATCHING,
     ),

@@ -19,6 +19,7 @@ from kexnet.analysis import (
     fit_linear,
     stops,
 )
+from kexnet import analysis, protocols
 from kexnet.errors import DegenerateFitError, InvalidScenarioError
 from kexnet.simengine import SimConfig
 from kexnet.topology import TopologyKind, build_topology
@@ -340,6 +341,25 @@ def test_compare_networks():
     assert rows[TopologyKind.FCN_FULL].step_count == 1
     assert rows[TopologyKind.FCN_FULL].costs.cable_count == 45
     assert rows[TopologyKind.FCN_SINGLE].step_count == 9
+
+
+def test_compare_networks_builds_no_schedule(monkeypatch):
+    # The rows are those with each step count taken from its generated
+    # schedule, with no generator reachable.
+    sizes = range(2, 41)
+    expected = {}
+    for n in sizes:
+        rows = compare_networks(n)
+        for row in rows:
+            assert row.step_count == len(protocols.generate_schedule(row.kind, n).steps)
+        expected[n] = rows
+
+    def refuse(kind, n):
+        raise AssertionError(f"compare_networks generated {kind.value} at n={n}")
+
+    monkeypatch.setattr(protocols, "generate_schedule", refuse)
+    monkeypatch.setattr(analysis, "generate_schedule", refuse)
+    assert {n: compare_networks(n) for n in sizes} == expected
 
 
 # --- the part vocabulary as the reference for stops --------------------------

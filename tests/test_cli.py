@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from kexnet import analysis, cli, protocols, simengine
 from kexnet.cli import main
 from kexnet.topology import TopologyKind, build_topology
+from test_analysis import valid_failures
+from test_cli_golden import CASES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -129,6 +131,19 @@ def test_validate_failing_chain_step_bounded(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert (code, err) == (3, "")
     assert out.splitlines()[:2] == ["invalid", "step 1: unknown-host: host 0"]
+
+
+def test_compare_costs_no_schedule(capsys):
+    # Every count comes from the geometry record, so a million hosts is as
+    # quick as ten.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare", "--n", "1000000", "--format", "csv")
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == (
+        "lch,999999,2000000,0,250000000000,O(N),O(N),O(N^2),"
+        "any cable segment splits the network in two"
+    )
 
 
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
@@ -540,6 +555,56 @@ def test_simulate_matches_reference_renderer(topology, n, k, specs, fmt, capsys)
     argv += [arg for spec in specs for arg in ("--fail", spec)]
     expected = _reference_simulate(topology, n, k, specs, fmt)
     assert run_cli(capsys, *argv, "--format", fmt) == (0, expected, "")
+
+
+# simulate writes its json document directly; _reference_simulate's
+# json.dumps(doc, indent=2) + "\n" is the reference for its bytes.
+SIMULATE_GOLDENS = sorted(case for case in CASES if case.startswith("simulate_"))
+
+
+def test_every_simulate_json_golden_is_a_case():
+    goldens = {path.name for path in GOLDEN.glob("cli_simulate_*.json")}
+    assert goldens == {f"cli_{case}.json" for case in SIMULATE_GOLDENS}
+
+
+@pytest.mark.parametrize("case", SIMULATE_GOLDENS)
+def test_simulate_json_golden_is_json_dumps(case, capsys):
+    args = cli.build_parser().parse_args(CASES[case])
+    expected = _reference_simulate(args.topology, args.n, args.k, args.fail, "json")
+    assert expected == (GOLDEN / f"cli_{case}.json").read_text()
+    assert run_cli(capsys, *CASES[case], "--format", "json") == (0, expected, "")
+
+
+def _spec(when, f):
+    """The --fail text of failure f at step ``when``."""
+    if isinstance(f, analysis.CenterSwitchFailure):
+        what = "center"
+    elif isinstance(f, analysis.KeyExchangerFailure):
+        what = f"ke:{f.host}" + ("" if f.slot is None else f":{f.slot}")
+    else:
+        what = "cable:" + ("%d-%d" % f.ident if isinstance(f.ident, tuple) else str(f.ident))
+    return f"{what}@{when}"
+
+
+@st.composite
+def simulate_runs(draw):
+    kind = draw(st.sampled_from(list(TopologyKind)))
+    n, k = draw(st.integers(2, 14)), draw(st.integers(1, 12))
+    failures = st.sampled_from(list(valid_failures(build_topology(kind, n))))
+    specs = draw(st.lists(st.builds(_spec, st.integers(1, 3 * n * n), failures), max_size=4))
+    return kind.value, n, k, specs
+
+
+@settings(max_examples=150, deadline=None)
+@given(simulate_runs())
+def test_simulate_json_is_json_dumps(run):
+    topology, n, k, specs = run
+    argv = ["simulate", "--topology", topology, "--n", str(n), "--k", str(k)]
+    argv += [arg for spec in specs for arg in ("--fail", spec)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    assert out.getvalue() == _reference_simulate(topology, n, k, specs, "json")
 
 
 # Cells as the commands make them: ints, and strings that are not empty and

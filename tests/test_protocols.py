@@ -1,11 +1,13 @@
 import hashlib
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kexnet import protocols
+import kexnet
+from kexnet import protocols, topology
 from kexnet.cli import main
 from kexnet.errors import InvalidSizeError, ProtocolConstructionError
 from kexnet.oracle import chromatic_index_lower_bound, min_steps_bruteforce
@@ -20,7 +22,7 @@ from kexnet.protocols import (
 )
 from kexnet.schedule import SbepStep, Schedule, validate_schedule
 from kexnet.serialize import schedule_to_text
-from kexnet.topology import TopologyKind, build_topology
+from kexnet.topology import GEOMETRIES, TopologyKind, build_topology
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -406,3 +408,45 @@ def test_star_builds_cycles_once_per_distance(n, monkeypatch):
 def test_cli_schedule_matches_golden(argv, golden, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+# The largest n each kind's generator is checked at; the chain's schedule
+# grows as n^2/4 steps.
+STEP_SIZES = {kind: 200 for kind in TopologyKind} | {TopologyKind.LCH: 128}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_geometry_steps_is_the_generated_length(kind):
+    # Each generator itself, not generate_schedule, which makes this check.
+    generate, steps = protocols._GENERATORS[kind], GEOMETRIES[kind].steps
+    for n in range(2, STEP_SIZES[kind] + 1):
+        assert steps(n) == len(generate(n).steps), n
+    if kind in (TopologyKind.STAR, TopologyKind.FCN_SINGLE):
+        assert steps(400) == len(generate(400).steps)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**17 + 1, 10**17 + 2, 4 * 10**20 + 3])
+def test_sbep_formula_exact_past_float_precision(n):
+    # compare reads the formula at any n, also where a float cannot hold n.
+    assert sbep_formula(n) == n + Fraction(n, 4).__ceil__() - (1 - n % 2)
+
+
+def test_sbep_formula_is_one_object():
+    assert kexnet.sbep_formula is protocols.sbep_formula is topology.sbep_formula
+    assert GEOMETRIES[TopologyKind.STAR].steps is sbep_formula
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_generate_schedule_refuses_a_dropped_step(kind, monkeypatch):
+    generate = protocols._GENERATORS[kind]
+
+    def dropping(n):
+        s = generate(n)
+        return Schedule(s.topology, s.steps[:-1])
+
+    monkeypatch.setitem(protocols._GENERATORS, kind, dropping)
+    n = 7
+    expected = GEOMETRIES[kind].steps(n)
+    message = f"{kind.value} construction produced {expected - 1} steps at n=7, expected {expected}"
+    with pytest.raises(ProtocolConstructionError, match=message):
+        protocols.generate_schedule(kind, n)

@@ -36,6 +36,25 @@ def test_json_round_trip(kind, n):
     assert schedule_to_json(json_to_schedule(doc)) == doc
 
 
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_steps_built_in_c_are_sbep_steps(kind):
+    # Schedule.from_pairs and the block parser build steps with tuple.__new__,
+    # not the constructor: each is an exact SbepStep equal to SbepStep(...)'s.
+    for n in range(2, 41):
+        s = generate_schedule(kind, n)
+        expected = tuple(SbepStep(i, step.exchanges) for i, step in enumerate(s.steps, 1))
+        for steps in (s.steps, text_to_schedule(schedule_to_text(s), s.topology).steps):
+            assert {type(step) for step in steps} == {SbepStep}
+            assert steps == expected
+
+
+def test_parsed_steps_keep_their_indices():
+    text = "step 7: (1,2)\nstep 3: (2,3) (1,4)\n"
+    steps = text_to_schedule(text, build_topology(TopologyKind.STAR, 4)).steps
+    assert {type(step) for step in steps} == {SbepStep}
+    assert steps == (SbepStep(7, ((1, 2),)), SbepStep(3, ((2, 3), (1, 4))))
+
+
 def test_text_format_shape():
     s = generate_schedule(TopologyKind.STAR, 5)
     lines = schedule_to_text(s).splitlines()
