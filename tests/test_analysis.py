@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kexnet import analysis, protocols
 from kexnet.analysis import (
     CableFailure,
     CenterSwitchFailure,
@@ -19,7 +20,6 @@ from kexnet.analysis import (
     fit_linear,
     stops,
 )
-from kexnet import analysis, protocols
 from kexnet.errors import DegenerateFitError, InvalidScenarioError
 from kexnet.simengine import SimConfig
 from kexnet.topology import TopologyKind, build_topology

@@ -428,7 +428,7 @@ def test_geometry_steps_is_the_generated_length(kind):
 @pytest.mark.parametrize("n", [2**53 + 1, 10**17 + 1, 10**17 + 2, 4 * 10**20 + 3])
 def test_sbep_formula_exact_past_float_precision(n):
     # compare reads the formula at any n, also where a float cannot hold n.
-    assert sbep_formula(n) == n + Fraction(n, 4).__ceil__() - (1 - n % 2)
+    assert sbep_formula(n) == n + math.ceil(Fraction(n, 4)) - (1 - n % 2)
 
 
 def test_sbep_formula_is_one_object():
@@ -445,8 +445,7 @@ def test_generate_schedule_refuses_a_dropped_step(kind, monkeypatch):
         return Schedule(s.topology, s.steps[:-1])
 
     monkeypatch.setitem(protocols._GENERATORS, kind, dropping)
-    n = 7
-    expected = GEOMETRIES[kind].steps(n)
+    expected = GEOMETRIES[kind].steps(7)
     message = f"{kind.value} construction produced {expected - 1} steps at n=7, expected {expected}"
     with pytest.raises(ProtocolConstructionError, match=message):
-        protocols.generate_schedule(kind, n)
+        protocols.generate_schedule(kind, 7)
