@@ -18,7 +18,7 @@ from itertools import chain
 from operator import add
 
 from . import analysis, oracle, protocols, serialize, simengine
-from .errors import KexnetError, ScheduleFormatError
+from .errors import InvalidSizeError, KexnetError, ScheduleFormatError
 from .plotting import scatter_with_line
 from .schedule import validate_schedule
 from .topology import TopologyKind, build_topology
@@ -128,7 +128,13 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     if args.n is not None:
         if args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")
-        _write_out(args.out, f"{protocols.sbep_formula(args.n)}\n")
+        try:
+            out = f"{protocols.sbep_formula(args.n)}\n"
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            raise InvalidSizeError(
+                "--n is too large: its step count has too many digits to print"
+            ) from exc
+        _write_out(args.out, out)
         return EXIT_OK
     r = _parse_range(args.range)
     if r.start < 2:
@@ -187,7 +193,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "class_time": [row.costs.class_time.value for row in rows],
         "single_point_of_failure": [row.single_point_of_failure for row in rows],
     }
-    _write_out(args.out, _tabular(args.format, columns))
+    try:
+        out = _tabular(args.format, columns)
+    except ValueError as exc:  # a count past Python's int-to-str digit limit
+        raise InvalidSizeError(
+            "--n is too large: its counts have too many digits to print"
+        ) from exc
+    _write_out(args.out, out)
     return EXIT_OK
 
 

@@ -126,7 +126,8 @@ def generate_star(n: int) -> Schedule:
     For even n, distance 1 gives two phases first and the opposite-host
     step comes last. Each residual group gives its first distance's two
     phases, the group's residual step and, for a merged pair, the second
-    distance's two phases.
+    distance's two phases. The step count is not checked here, as for
+    every generator: ``generate_schedule`` checks it.
     """
     topo = build_topology(TopologyKind.STAR, n)
     residual_distances = [d for d in range(1, n // 2 + 1) if _raw_count(n, d) == 3]

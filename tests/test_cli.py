@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import pathlib
+import sys
 import tempfile
 import time
 
@@ -144,6 +145,29 @@ def test_compare_costs_no_schedule(capsys):
         "lch,999999,2000000,0,250000000000,O(N),O(N),O(N^2),"
         "any cable segment splits the network in two"
     )
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+def test_compare_refuses_counts_too_long_to_print(capsys, fmt):
+    # n parses, but the cable count n(n-1)/2 has about twice its digits,
+    # past Python's int-to-str limit: one kexnet line and exit 3.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints an int of any length")
+    n = "1" + "0" * (limit // 2 + 100)
+    code, out, err = run_cli(capsys, "compare", "--n", n, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "kexnet: --n is too large: its counts have too many digits to print\n"
+
+
+def test_formula_refuses_a_count_too_long_to_print(capsys):
+    # The largest n that parses gives a star step count of one digit more.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints an int of any length")
+    code, out, err = run_cli(capsys, "formula", "--n", "9" * limit)
+    assert (code, out) == (3, "")
+    assert err == "kexnet: --n is too large: its step count has too many digits to print\n"
 
 
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
