@@ -147,27 +147,25 @@ def test_compare_costs_no_schedule(capsys):
     )
 
 
-@pytest.mark.parametrize("fmt", cli._FORMATS)
-def test_compare_refuses_counts_too_long_to_print(capsys, fmt):
-    # n parses, but the cable count n(n-1)/2 has about twice its digits,
-    # past Python's int-to-str limit: one kexnet line and exit 3.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this Python prints an int of any length")
-    n = "1" + "0" * (limit // 2 + 100)
-    code, out, err = run_cli(capsys, "compare", "--n", n, "--format", fmt)
-    assert (code, out) == (3, "")
-    assert err == "kexnet: --n is too large: its counts have too many digits to print\n"
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def test_formula_refuses_a_count_too_long_to_print(capsys):
-    # The largest n that parses gives a star step count of one digit more.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this Python prints an int of any length")
-    code, out, err = run_cli(capsys, "formula", "--n", "9" * limit)
+@pytest.mark.skipif(not _LIMIT, reason="this Python prints an int of any length")
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # n parses, but the cable count n(n-1)/2 has about twice its digits.
+        *((["compare", "--n", "1" + "0" * (_LIMIT // 2 + 100), "--format", fmt], "counts have")
+          for fmt in cli._FORMATS),
+        # The largest n that parses gives a star step count of one digit more.
+        (["formula", "--n", "9" * _LIMIT], "step count has"),
+    ],
+    ids=[*cli._FORMATS, "formula"],
+)
+def test_refuses_counts_too_long_to_print(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "kexnet: --n is too large: its step count has too many digits to print\n"
+    assert err == f"kexnet: --n is too large: its {what} too many digits to print\n"
 
 
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
