@@ -1,9 +1,11 @@
 """Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
 
 One benchmark per row of that table, plus the fcn1 generator, the text
-writer that the star round trip also runs, the validator on the chain
-schedules at n=32, 64 and 256, on a star n=400 schedule with one bad step
-and on one failing chain step of 4,000 exchanges, the text parser on the
+writer that the star round trip also runs (and the same writer on a
+schedule built directly, which it checks exchange by exchange), the
+validator on the chain schedules at n=32, 64 and 256, on a star n=400
+schedule with one bad step or one pair given twice and on one failing
+chain step of 4,000 exchanges, the text parser on the
 chains at n=32 and 64, capable pairs with a star n=600 center failure, the
 simulator on star n=600 with five failures at five times, and compare at
 n=1000 beside n=200. Each times one layer call in process: generators,
@@ -86,6 +88,16 @@ def test_validate_schedule_one_bad_step(benchmark, star400):
     assert report.violations[0].step_index == 301
 
 
+def test_validate_schedule_duplicate_pair(benchmark, star400):
+    # One pair copied into the last step, as in perfbench's "dup" corruption:
+    # the validator names the pair given again.
+    steps = [step.exchanges for step in star400.steps]
+    (a, b) = steps[0][0]
+    steps[-1] += ((a, b),)
+    report = benchmark(validate_schedule, Schedule.from_pairs(star400.topology, steps))
+    assert "duplicate-pair" in {v.kind for v in report.violations}
+
+
 def test_validate_schedule_failing_chain_step(benchmark):
     # One step (0,1) (1,2) ... (3999,4000) on a chain of 4,000 hosts: host 0
     # makes it fail, and its spans, which overlap none, are not paired up.
@@ -120,6 +132,13 @@ def test_schedule_to_json(benchmark, star400):
 
 def test_schedule_to_text(benchmark, star400):
     benchmark(serialize.schedule_to_text, star400)
+
+
+def test_schedule_to_text_direct(benchmark, star400):
+    # Built with Schedule(...), not from_pairs: the writer checks every
+    # exchange again, as from_pairs would have.
+    schedule = Schedule(star400.topology, star400.steps)
+    benchmark(serialize.schedule_to_text, schedule)
 
 
 def test_json_to_schedule(benchmark, star400):

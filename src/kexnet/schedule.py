@@ -30,6 +30,10 @@ class SbepStep(NamedTuple):
 class Schedule:
     topology: NetworkTopology
     steps: tuple[SbepStep, ...]
+    # The steps' exchanges in turn, as from_pairs checked them, for the
+    # writers; None for a schedule built otherwise. Not compared, hashed,
+    # shown or copied by dataclasses.replace.
+    checked_pairs: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_pairs(
@@ -44,7 +48,9 @@ class Schedule:
         if pairs is not exchanges:  # lists made tuples: each step takes its own
             built = tuple(map(tuple, map(islice, repeat(iter(pairs)), map(len, built))))
         # tuple.__new__ builds each step in C, not by a Python call as SbepStep(...) does.
-        return cls(topology, tuple(map(tuple.__new__, repeat(SbepStep), zip(count(1), built))))
+        s = cls(topology, tuple(map(tuple.__new__, repeat(SbepStep), zip(count(1), built))))
+        object.__setattr__(s, "checked_pairs", pairs)
+        return s
 
 
 def _two(e) -> bool:

@@ -40,6 +40,9 @@ _INDEX = itemgetter(slice(5, None))
 _BLOCK = 1 << 13
 # Past _STEP_RE and the "step " prefix, a line's ids lie between these marks.
 _ID_MARKS = str.maketrans(":(,)", "    ")
+# Step bodies " (1,2) (3,4)" joined, as ",1,2,3,4": past the first comma, the
+# items of a JSON array.
+_JSON_IDS = str.maketrans(" ", ",", "()")
 # One pair as json.dumps(indent=2) lays it out inside a step, after the first.
 _JSON_PAIR = ",\n      [\n        %s,\n        %s\n      ]"
 
@@ -47,10 +50,13 @@ _JSON_PAIR = ",\n      [\n        %s,\n        %s\n      ]"
 def _hosts(s: Schedule) -> tuple:
     """The schedule's hosts, two per exchange. Raises ValueError for an
     exchange with no span or a negative host, which the parsers would
-    refuse or read as other pairs."""
-    exchanges = tuple(chain.from_iterable(step.exchanges for step in s.steps))
+    refuse or read as other pairs. Exchanges that Schedule.from_pairs
+    checked are not checked again: only their hosts' types and signs."""
+    pairs = s.checked_pairs
     with suppress(ValueError):
-        hosts = tuple(chain.from_iterable(as_pairs(exchanges)))
+        if pairs is None:
+            pairs = as_pairs(tuple(chain.from_iterable(step.exchanges for step in s.steps)))
+        hosts = tuple(chain.from_iterable(pairs))
         if set(map(type, hosts)) <= {int} and min(hosts, default=0) >= 0:
             return hosts
     for step in s.steps:  # one exchange failed the checks above
@@ -90,13 +96,19 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
 def _block_steps(block: str) -> list[SbepStep] | None:
     """The steps of a block of step lines, each ending in LF, read with one
     pass per check over the whole block; None if the block is not that, or
-    holds an id past int()'s digit limit or a self-pair."""
+    holds an id past int()'s digit limit or a self-pair. The ids, which
+    _STEPS_RE matched as ASCII digit runs, are read by one json.loads call,
+    or by int() each if one has a leading zero, which JSON refuses."""
     if _STEPS_RE.fullmatch(block) is None:
         return None
     heads, _, bodies = zip(*map(str.partition, block.splitlines(), repeat(":")))
+    body = "".join(bodies)
     try:
         indices = list(map(int, map(_INDEX, heads)))
-        ids = map(int, "".join(bodies).translate(_ID_MARKS).split())
+        try:
+            ids = iter(json.loads(f"[{body.translate(_JSON_IDS)[1:]}]"))
+        except ValueError:  # a leading zero, or a 5000-digit id
+            ids = map(int, body.translate(_ID_MARKS).split())
         pairs = tuple(zip(ids, ids))
     except ValueError:  # a 5000-digit id
         return None

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import re
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kexnet import serialize
 from kexnet.errors import ScheduleFormatError
@@ -177,6 +178,64 @@ def test_json_bad_host_count_rejected(n_hosts):
     doc = {"topology": {"kind": "star", "n_hosts": n_hosts}, "steps": [[[1, 2]]]}
     with pytest.raises(ScheduleFormatError):
         json_to_schedule(json.dumps(doc))
+
+
+# --- the pairs Schedule.from_pairs keeps for the writers ----------------------
+
+
+def test_checked_pairs_left_out_of_eq_hash_repr_and_replace():
+    s = generate_star(6)
+    direct = Schedule(s.topology, s.steps)
+    assert s.checked_pairs is not None and direct.checked_pairs is None
+    assert (s, hash(s), repr(s)) == (direct, hash(direct), repr(direct))
+    assert "checked_pairs" not in repr(s)
+    # dataclasses.replace builds a new Schedule, which holds no kept pairs
+    # for the new steps.
+    replaced = dataclasses.replace(s, steps=s.steps[:2])
+    assert replaced.checked_pairs is None
+    assert replaced == Schedule(s.topology, s.steps[:2])
+
+
+def _written(write, s):
+    """What a writer gives for s: its text, or its ValueError message."""
+    try:
+        return write(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Hosts of every kind an exchange may hold: ints of either sign, and values
+# that are not int hosts. from_pairs refuses only one host twice.
+_ANY_HOSTS = st.one_of(
+    st.integers(-3, 12), st.booleans(), st.floats(-2, 12), st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_ANY_EXCHANGES = st.one_of(
+    st.tuples(_ANY_HOSTS, _ANY_HOSTS), st.lists(_ANY_HOSTS, min_size=2, max_size=2)
+).filter(lambda e: e[0] != e[1])
+
+
+@given(steps=st.lists(st.lists(_ANY_EXCHANGES, max_size=4), max_size=5))
+@example(steps=[[(1, 2)], [(3, -1)]])
+@example(steps=[[(1, 2), ("3", 4)]])
+def test_writers_same_for_kept_and_unkept_pairs(steps):
+    # The writers give the same bytes, or the same ValueError message, for
+    # a schedule from_pairs built as for the same steps built directly.
+    s = Schedule.from_pairs(build_topology(TopologyKind.STAR, 5), steps)
+    direct = Schedule(s.topology, s.steps)
+    for write in (schedule_to_text, schedule_to_json):
+        assert _written(write, s) == _written(write, direct)
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+def test_writers_do_not_check_exchanges_again(kind):
+    # from_pairs checked every exchange of a generated schedule: the writers
+    # do not call as_pairs on it again.
+    with patch.object(serialize, "as_pairs", side_effect=AssertionError("checked twice")):
+        for n in range(2, 41):
+            s = generate_schedule(kind, n)
+            assert schedule_to_text(s) == _reference_schedule_to_text(s)
+            assert schedule_to_json(s) == _reference_schedule_to_json(s)
 
 
 # --- the per-pair writers and the regex id parser, kept as the references ----
@@ -375,3 +434,51 @@ def test_block_parse_matches_line_parse(kind, n, hows, block, data):
     line_by_line = lambda text, topo: Schedule(topo, tuple(serialize._line_steps(text)))
     assert got == _outcome(line_by_line, text, topo)
     assert got == _outcome(_reference_text_to_schedule, text, topo)
+
+
+# --- the block's ids read by one json.loads call, against int() per id --------
+
+
+def _int_per_id(text, topology):
+    """The parse with every id read by int() after a split, line by line."""
+    return Schedule(topology, tuple(serialize._line_steps(text)))
+
+
+def _zero_led(text):
+    """``text`` with every id of its middle line written with two leading zeros."""
+    lines = text.splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = re.sub(r"([(,])", r"\g<1>00", lines[middle])
+    return "".join(lines)
+
+
+_STAR_120 = schedule_to_text(generate_star(120))
+_ID_TEXTS = {
+    "leading zeros": ("step 1: (007,2) (0,3)\n", ((7, 2), (0, 3))),
+    "id 0": ("step 1: (0,1)\n", ((0, 1),)),
+    "steps with no exchanges": ("step 1:\nstep 2:\n", ()),
+    "5000-digit id": (f"step 1: (1,{_BIG})\n", None),
+    "several blocks": (_STAR_120, None),
+    "several blocks, one with leading zeros": (_zero_led(_STAR_120), None),
+}
+
+
+@pytest.mark.parametrize("text,first", _ID_TEXTS.values(), ids=list(_ID_TEXTS))
+def test_json_id_read_matches_int_per_id(text, first):
+    topo = build_topology(TopologyKind.STAR, 120)
+    got = _outcome(text_to_schedule, text, topo)
+    assert got == _outcome(_int_per_id, text, topo)
+    if first is not None:
+        assert got.steps[0].exchanges == first
+
+
+def test_json_id_read_is_one_call_per_block():
+    # Each block of step lines reads its ids with one json.loads call, and a
+    # block that JSON refuses, for its leading zeros, falls back to int().
+    topo = build_topology(TopologyKind.STAR, 120)
+    blocks = len(_STAR_120) // serialize._BLOCK
+    assert blocks > 3
+    for text in (_STAR_120, _zero_led(_STAR_120)):
+        with patch.object(serialize.json, "loads", wraps=json.loads) as loads:
+            assert text_to_schedule(text, topo) == _int_per_id(text, topo)
+        assert loads.call_count in (blocks, blocks + 1)
