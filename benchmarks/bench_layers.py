@@ -2,7 +2,7 @@
 
 One benchmark per row of that table, plus the fcn1 generator, the text
 writer that the star round trip also runs (and the same writer on a
-schedule built directly, which it checks exchange by exchange), the
+schedule built directly, whose exchanges it checks in full), the
 validator on the chain schedules at n=32, 64 and 256, on a star n=400
 schedule with one bad step or one pair given twice and on one failing
 chain step of 4,000 exchanges, the text parser on the

@@ -408,6 +408,11 @@ def _mutated(text, how, data):
     return "".join(lines)
 
 
+def _int_per_id(text, topology):
+    """The parse with every id read by int() after a split, line by line."""
+    return Schedule(topology, tuple(serialize._line_steps(text)))
+
+
 _MUTATIONS = (
     "crlf", "blank", "no final LF", "non-ASCII digit", "self-pair", "5000-digit id",
     "drop", "duplicate",
@@ -431,17 +436,11 @@ def test_block_parse_matches_line_parse(kind, n, hows, block, data):
     topo = build_topology(kind, n)
     with patch.object(serialize, "_BLOCK", block or serialize._BLOCK):
         got = _outcome(text_to_schedule, text, topo)
-    line_by_line = lambda text, topo: Schedule(topo, tuple(serialize._line_steps(text)))
-    assert got == _outcome(line_by_line, text, topo)
+    assert got == _outcome(_int_per_id, text, topo)
     assert got == _outcome(_reference_text_to_schedule, text, topo)
 
 
 # --- the block's ids read by one json.loads call, against int() per id --------
-
-
-def _int_per_id(text, topology):
-    """The parse with every id read by int() after a split, line by line."""
-    return Schedule(topology, tuple(serialize._line_steps(text)))
 
 
 def _zero_led(text):
