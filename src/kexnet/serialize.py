@@ -96,21 +96,18 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
 def _block_steps(block: str) -> list[SbepStep] | None:
     """The steps of a block of step lines, each ending in LF, read with one
     pass per check over the whole block; None if the block is not that, or
-    holds an id past int()'s digit limit or a self-pair. The ids, which
-    _STEPS_RE matched as ASCII digit runs, are read by one json.loads call,
-    or by int() each if one has a leading zero, which JSON refuses."""
+    holds an id with a leading zero, which JSON refuses, an id past the int
+    digit limit or a self-pair: _line_steps reads those. The ids, which
+    _STEPS_RE matched as ASCII digit runs, are read by one json.loads call."""
     if _STEPS_RE.fullmatch(block) is None:
         return None
     heads, _, bodies = zip(*map(str.partition, block.splitlines(), repeat(":")))
     body = "".join(bodies)
     try:
         indices = list(map(int, map(_INDEX, heads)))
-        try:
-            ids = iter(json.loads(f"[{body.translate(_JSON_IDS)[1:]}]"))
-        except ValueError:  # a leading zero, or a 5000-digit id
-            ids = map(int, body.translate(_ID_MARKS).split())
+        ids = iter(json.loads(f"[{body.translate(_JSON_IDS)[1:]}]"))
         pairs = tuple(zip(ids, ids))
-    except ValueError:  # a 5000-digit id
+    except ValueError:  # a leading zero, or a 5000-digit id
         return None
     if any(starmap(eq, pairs)):
         return None

@@ -473,7 +473,7 @@ def test_json_id_read_matches_int_per_id(text, first):
 
 def test_json_id_read_is_one_call_per_block():
     # Each block of step lines reads its ids with one json.loads call, and a
-    # block that JSON refuses, for its leading zeros, falls back to int().
+    # block that JSON refuses, for its leading zeros, is read line by line.
     topo = build_topology(TopologyKind.STAR, 120)
     blocks = len(_STAR_120) // serialize._BLOCK
     assert blocks > 3
