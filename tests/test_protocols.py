@@ -2,6 +2,8 @@ import hashlib
 import math
 import pathlib
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +313,105 @@ def _reference_star(n: int) -> Schedule:
 @pytest.mark.parametrize("n", range(2, 81))
 def test_star_matches_reference(n):
     assert generate_star(n) == _reference_star(n)
+
+
+# --- the edge-list star generator, kept as the reference ---------------------
+
+
+def _edge_list_cycles(n: int, d: int) -> list[list[tuple[int, int]]]:
+    """Edges (v, v+d mod n) of each cycle of the +d step on hosts 1..n;
+    cycle s starts at host s, for s = 1..gcd(n, d), in traversal order."""
+    g = math.gcd(n, d)
+    cycles = []
+    for s in range(1, g + 1):
+        hosts = [(s - 1 + k * d) % n + 1 for k in range(n // g)]
+        cycles.append(list(zip(hosts, hosts[1:] + hosts[:1])))
+    return cycles
+
+
+def _edge_list_residuals(cycles):
+    """One residual edge per cycle of every distance in ``cycles`` (d to its
+    edge lists), all host-disjoint, by the same depth-first search as
+    generate_star: cycles shortest first, each from the edge its largest
+    host initiates. Returns {(distance, cycle_index): edge_index} or None."""
+    slots = []
+    for d, per_distance in cycles.items():
+        g, m = len(per_distance), len(per_distance[0])
+        anchor = (m - 1) * pow(d // g, -1, m) % m
+        slots += [(m, d, ci, anchor) for ci in range(g)]
+    slots.sort()
+
+    def edge_order(slot):
+        _, d, ci, k = slot
+        edges = cycles[d][ci]
+        return chain(enumerate(edges[k:], k), enumerate(edges[:k]))
+
+    picks = []
+    used: set[int] = set()
+    stack = [edge_order(slots[0])]
+    while stack:
+        for k, (a, b) in stack[-1]:
+            if a not in used and b not in used:
+                break
+        else:
+            stack.pop()
+            if picks:
+                used.difference_update(picks.pop()[1])
+            continue
+        picks.append((k, (a, b)))
+        used.update((a, b))
+        if len(picks) == len(slots):
+            return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
+        stack.append(edge_order(slots[len(picks)]))
+    return None
+
+
+def _edge_list_phases(paths):
+    """The alternating matchings of edge paths: even positions, then odd."""
+    phases = (chain.from_iterable(p[k::2] for p in paths) for k in (0, 1))
+    return [sorted(phase, key=itemgetter(0)) for phase in phases]
+
+
+def _edge_list_star(n: int) -> Schedule:
+    """The star generator that held every cycle as a list of edge tuples,
+    built by a Python loop over its hosts."""
+    topo = build_topology(TopologyKind.STAR, n)
+    raw = raw_distance_steps(n) if n > 2 else []
+    residual_distances = [d for d, c in raw if c == 3]
+    unmerged = len(residual_distances) - 2 * merge_budget(n)
+    groups = [[d] for d in residual_distances[:unmerged]] + [
+        residual_distances[i : i + 2]
+        for i in range(unmerged, len(residual_distances), 2)
+    ]
+    steps = []
+    if n % 2 == 0 and n > 2:
+        steps += _edge_list_phases(_edge_list_cycles(n, 1))
+    for group in groups:
+        cycles = {d: _edge_list_cycles(n, d) for d in group}
+        chosen = _edge_list_residuals(cycles)
+        residual, phases = [], []
+        for d, per_distance in cycles.items():
+            paths = []
+            for ci, edges in enumerate(per_distance):
+                r = chosen[d, ci]
+                residual.append(edges[r])
+                paths.append(edges[r + 1 :] + edges[:r])
+            phases += _edge_list_phases(paths)
+        steps += phases[:2] + [sorted(residual)] + phases[2:]
+    if n % 2 == 0:
+        steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])
+    return Schedule.from_pairs(topo, steps)
+
+
+@pytest.mark.parametrize("n", range(2, 131))
+def test_star_matches_edge_list_star(n):
+    assert generate_star(n) == _edge_list_star(n)
+
+
+@settings(deadline=None, max_examples=8)
+@given(n=st.integers(min_value=2, max_value=420))
+def test_star_matches_edge_list_star_up_to_420(n):
+    assert generate_star(n) == _edge_list_star(n)
 
 
 # One line per size: n and the sha256 of the text schedule, for sizes past
