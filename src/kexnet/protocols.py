@@ -1,12 +1,15 @@
 """Schedule generators for the four topologies.
 
 The star generator works by neighbor distance: for distance d, the
-exchanges {i, i+d mod N} form gcd(N, d) disjoint cycles. Each cycle is
+exchanges (x, x+d mod N), initiator first, form gcd(N, d) disjoint
+cycles, each a slice of one list of the hosts repeated. Each cycle is
 split into two alternating matchings plus, for most distances, one
-leftover "residual" edge per cycle. The largest residual distances are
-paired into groups whose residual edges share one step, enough to reach
-the closed-form count, and the schedule is built in step order one group
-at a time, with no recursion. All generators are deterministic.
+leftover "residual" edge per cycle. A matching is its sorted initiators:
+every other host of the path the residual edge leaves. The largest
+residual distances are paired into groups whose residual edges share one
+step, enough to reach the closed-form count, and the schedule is built in
+step order one group at a time, with no recursion. All generators are
+deterministic.
 """
 
 from __future__ import annotations
@@ -50,54 +53,50 @@ def merge_budget(n: int) -> int:
     return budget
 
 
-def _cycles(n: int, d: int) -> list[list[tuple[int, int]]]:
-    """Edges (v, v+d mod n) of each cycle of the +d step on hosts 1..n.
-
-    Cycle s starts at host s, for s = 1..gcd(n, d), and lists its edges
-    in traversal order.
+def _cycles(ring: list[int], n: int, d: int) -> list[list[int]]:
+    """Each cycle of the +d step on hosts 1..n as its hosts h in traversal
+    order, listed twice, so that edge k is (h[k], h[k+1]) and every run of
+    edges is a slice. Cycle s starts at host s+1: ``ring[s : s + d*m : d]``
+    for m = n/gcd(n, d), where ``ring`` is hosts 1..n repeated n//2 + 1 times.
     """
-    g = math.gcd(n, d)
-    cycles = []
-    for s in range(1, g + 1):
-        hosts = [(s - 1 + k * d) % n + 1 for k in range(n // g)]
-        cycles.append(list(zip(hosts, hosts[1:] + hosts[:1])))
-    return cycles
+    m = n // math.gcd(n, d)
+    return [ring[s : s + d * m : d] * 2 for s in range(n // m)]
 
 
 def _choose_disjoint_residuals(
-    cycles: dict[int, list[list[tuple[int, int]]]],
+    cycles: dict[int, list[list[int]]],
 ) -> dict[tuple[int, int], int] | None:
     """Pick one residual edge per cycle of every distance in ``cycles``, all
     host-disjoint.
 
-    ``cycles`` maps each distance d to ``_cycles(n, d)``. Depth-first over
-    the cycles, shortest first, then by distance and cycle index; within a
-    cycle the edge initiated by its largest host is tried first, so the
-    unmerged canonical choice is kept whenever possible. Cycle s of the
-    g = gcd(n, d) cycles holds the hosts congruent to s mod g, so its
-    largest host is n-g+s. That host starts edge k of the cycle for
+    ``cycles`` maps each distance d to ``_cycles(ring, n, d)``. Depth-first
+    over the cycles, shortest first, then by distance and cycle index;
+    within a cycle the edge initiated by its largest host is tried first,
+    so the unmerged canonical choice is kept whenever possible. Cycle s of
+    the g = gcd(n, d) cycles holds the hosts congruent to s+1 mod g, so its
+    largest host is n-g+s+1. That host starts edge k of the cycle for
     k*(d/g) = m-1 (mod m), m = n/g: one anchor k for every cycle of the
-    distance. A slot's edge order is built when the search enters it. A
-    stack of untried-edge iterators, not recursion, holds the search path,
-    so any depth works. Returns {(distance, cycle_index): edge_index} or None.
+    distance. A slot's edges are read off its host list when the search
+    enters it. A stack of untried-edge iterators, not recursion, holds the
+    search path, so any depth works. Returns {(d, cycle_index): k} or None.
     """
     slots = []
     for d, per_distance in cycles.items():
-        g, m = len(per_distance), len(per_distance[0])
+        g, m = len(per_distance), len(per_distance[0]) // 2
         anchor = (m - 1) * pow(d // g, -1, m) % m
         slots += [(m, d, ci, anchor) for ci in range(g)]
     slots.sort()
 
     def edge_order(slot):
-        _, d, ci, k = slot
-        edges = cycles[d][ci]
-        return chain(enumerate(edges[k:], k), enumerate(edges[:k]))
+        m, d, ci, k = slot
+        h = cycles[d][ci]
+        return zip(range(k, k + m), h[k : k + m], h[k + 1 : k + m + 1])
 
     picks: list[tuple[int, tuple[int, int]]] = []  # (index, edge) per slot entered
     used: set[int] = set()
     stack = [edge_order(slots[0])]
     while stack:
-        for k, (a, b) in stack[-1]:
+        for k, a, b in stack[-1]:
             if a not in used and b not in used:
                 break
         else:  # no edge fits: retreat and free the previous slot's edge
@@ -108,16 +107,16 @@ def _choose_disjoint_residuals(
         picks.append((k, (a, b)))
         used.update((a, b))
         if len(picks) == len(slots):
-            return {(d, ci): k for (_, d, ci, _), (k, _) in zip(slots, picks)}
+            return {(d, ci): k % m for (m, d, ci, _), (k, _) in zip(slots, picks)}
         stack.append(edge_order(slots[len(picks)]))
     return None
 
 
-def _two_phases(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
-    """The alternating matchings of edge paths: even positions, then odd."""
-    # A phase is a matching, so its initiators alone give the pair order.
-    phases = (chain.from_iterable(p[k::2] for p in paths) for k in (0, 1))
-    return [sorted(phase, key=itemgetter(0)) for phase in phases]
+def _matching(ring: list[int], n: int, d: int, runs) -> list[tuple[int, int]]:
+    """The exchanges (x, x+d mod n) of the initiators in ``runs`` (lists of
+    hosts), in host order; ``ring[d-1+x]`` is host x+d mod n."""
+    initiators = sorted(chain.from_iterable(runs))
+    return list(zip(initiators, map(ring[d - 1 : d + n].__getitem__, initiators)))
 
 
 def generate_star(n: int) -> Schedule:
@@ -140,11 +139,12 @@ def generate_star(n: int) -> Schedule:
         for i in range(unmerged, len(residual_distances), 2)
     ]
 
+    ring = list(range(1, n + 1)) * (n // 2 + 1)
     steps: list[list[tuple[int, int]]] = []
     if n % 2 == 0 and n > 2:
-        steps += _two_phases(_cycles(n, 1))
+        steps += [_matching(ring, n, 1, [ring[k:n:2]]) for k in (0, 1)]
     for group in groups:
-        cycles = {d: _cycles(n, d) for d in group}
+        cycles = {d: _cycles(ring, n, d) for d in group}
         chosen = _choose_disjoint_residuals(cycles)
         if chosen is None:
             raise ProtocolConstructionError(
@@ -152,12 +152,11 @@ def generate_star(n: int) -> Schedule:
             )
         residual, phases = [], []
         for d, per_distance in cycles.items():
-            paths = []
-            for ci, edges in enumerate(per_distance):
-                r = chosen[d, ci]
-                residual.append(edges[r])
-                paths.append(edges[r + 1 :] + edges[:r])
-            phases += _two_phases(paths)
+            m = len(per_distance[0]) // 2
+            picks = [(h, chosen[d, ci]) for ci, h in enumerate(per_distance)]
+            residual += [(h[r], h[r + 1]) for h, r in picks]
+            for k in (1, 2):  # the path after residual edge r starts at h[r+1]
+                phases.append(_matching(ring, n, d, [h[r + k : r + m : 2] for h, r in picks]))
         steps += phases[:2] + [sorted(residual)] + phases[2:]
     if n % 2 == 0:
         steps.append([(i, i + n // 2) for i in range(1, n // 2 + 1)])

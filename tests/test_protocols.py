@@ -427,28 +427,38 @@ def test_star_matches_frozen_digest(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _ring(n):
+    """Hosts 1..n repeated n//2 + 1 times, as generate_star builds them."""
+    return list(range(1, n + 1)) * (n // 2 + 1)
+
+
 def test_residual_search_deeper_than_recursion_limit():
     # One group of 1,000 cycles of 3 hosts: cycle ci holds hosts ci+1,
     # ci+1001 and ci+2001, and keeps the edge its largest host initiates.
-    cycles = protocols._cycles(3000, 1000)
+    cycles = protocols._cycles(_ring(3000), 3000, 1000)
+    assert cycles == [[ci + 1, ci + 1001, ci + 2001] * 2 for ci in range(1000)]
     chosen = protocols._choose_disjoint_residuals({1000: cycles})
     assert sorted(chosen) == [(1000, ci) for ci in range(1000)]
-    assert [cycles[ci][chosen[1000, ci]] for ci in range(1000)] == [
-        (ci + 2001, ci + 1) for ci in range(1000)
-    ]
+    edges = [(cycles[ci][k], cycles[ci][k + 1]) for (_, ci), k in sorted(chosen.items())]
+    assert edges == [(ci + 2001, ci + 1) for ci in range(1000)]
 
 
 @pytest.mark.parametrize("n", range(3, 61))
 def test_anchor_starts_at_largest_host(n):
+    ring = _ring(n)
     for d in range(1, n // 2 + 1):
-        cycles = protocols._cycles(n, d)
-        assert cycles == [
-            _reference_cycle_edges(c, n, d) for c in _reference_cycles(n, d)
-        ]
+        cycles = protocols._cycles(ring, n, d)
+        assert cycles == [c * 2 for c in _reference_cycles(n, d)]
+        for h, c in zip(cycles, _reference_cycles(n, d)):
+            edges = list(zip(h, h[1 : len(c) + 1]))
+            assert edges == _reference_cycle_edges(c, n, d)
         g, m = math.gcd(n, d), n // math.gcd(n, d)
         k = (m - 1) * pow(d // g, -1, m) % m
-        for s, edges in enumerate(cycles, 1):
-            assert edges[k][0] == max(a for a, _ in edges) == n - g + s
+        for s, h in enumerate(cycles, 1):
+            assert h[k] == max(h) == n - g + s
+        # One distance's cycles share no host, so each keeps its anchor edge.
+        chosen = protocols._choose_disjoint_residuals({d: cycles})
+        assert chosen == {(d, ci): k for ci in range(g)}
 
 
 def _reference_fcn_single(n):
@@ -480,13 +490,16 @@ def test_star_builds_cycles_once_per_distance(n, monkeypatch):
     calls = []
     cycles = protocols._cycles
 
-    def counting(n, d):
+    def counting(ring, n, d):
         calls.append(d)
-        return cycles(n, d)
+        return cycles(ring, n, d)
 
     monkeypatch.setattr(protocols, "_cycles", counting)
     generate_star(n)
     assert sorted(calls) == sorted(set(calls))
+    # Only the residual distances have cycles: distance 1 of an even n is
+    # the ring itself, and the opposite-host step needs none.
+    assert sorted(calls) == [d for d, c in raw_distance_steps(n) if c == 3]
 
 
 @pytest.mark.parametrize(
