@@ -1,6 +1,7 @@
 """Per-layer timings of kexnet at the fixed sizes of ROADMAP's baseline table.
 
-One benchmark per row of that table, plus the fcn1 generator, the text
+One benchmark per row of that table, plus the fcn1 generator, the star
+generator over the seven sizes of one ``star-roundtrip`` round, the text
 writer that the star round trip also runs (and the same writer on a
 schedule built directly, whose exchanges it checks in full), the
 validator on the chain schedules at n=32, 64 and 256, on a star n=400
@@ -17,8 +18,10 @@ commands. ``test_star_roundtrip`` and
 ``validate``, through ``cli.main``; ``test_cli_chain_roundtrip`` does the
 same for the chain at n=64 in text. pytest-benchmark leaves the cyclic
 garbage collector on, so the library rows still pay for the collector
-passes that a CLI command, which pauses it, no longer does.
-Inputs are built outside the timed call. Run from the repository root:
+passes that a CLI command, which pauses it, no longer does; each row
+starts after a full collection, so that it does not pay for the objects
+the rows before it left. Inputs are built outside the timed call. Run
+from the repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py --benchmark-json=out.json
@@ -28,6 +31,7 @@ The file name does not match ``test_*.py``, so the test suite skips it.
 """
 
 import contextlib
+import gc
 import io
 import json
 
@@ -46,6 +50,15 @@ from kexnet.topology import TopologyKind, build_topology
 
 STAR, LCH = TopologyKind.STAR, TopologyKind.LCH
 
+# The star sizes of one perfbench star-roundtrip round: the midpoints of
+# seven log-uniform strata of 64..400 hosts.
+ROUND_STARS = (73, 95, 123, 160, 208, 270, 351)
+
+
+@pytest.fixture(autouse=True)
+def _collected():
+    gc.collect()
+
 
 @pytest.fixture(scope="module")
 def star400():
@@ -54,6 +67,14 @@ def star400():
 
 def test_generate_star(benchmark):
     benchmark(protocols.generate_star, 400)
+
+
+def _generate_stars(sizes):
+    return [protocols.generate_star(n) for n in sizes]
+
+
+def test_generate_star_round(benchmark):
+    benchmark(_generate_stars, ROUND_STARS)
 
 
 def test_generate_fcn_single(benchmark):

@@ -56,8 +56,8 @@ def merge_budget(n: int) -> int:
 def _cycles(ring: list[int], n: int, d: int) -> list[list[int]]:
     """Each cycle of the +d step on hosts 1..n as its hosts h in traversal
     order, listed twice, so that edge k is (h[k], h[k+1]) and every run of
-    edges is a slice. Cycle s starts at host s+1: ``ring[s : s + d*m : d]``
-    for m = n/gcd(n, d), where ``ring`` is hosts 1..n repeated n//2 + 1 times.
+    edges is a slice. With m = n/gcd(n, d), cycle s = 1..gcd(n, d) is
+    ``ring[s-1 : s-1 + d*m : d]``; ``ring`` is hosts 1..n, n//2 + 1 times over.
     """
     m = n // math.gcd(n, d)
     return [ring[s : s + d * m : d] * 2 for s in range(n // m)]
@@ -73,8 +73,8 @@ def _choose_disjoint_residuals(
     over the cycles, shortest first, then by distance and cycle index;
     within a cycle the edge initiated by its largest host is tried first,
     so the unmerged canonical choice is kept whenever possible. Cycle s of
-    the g = gcd(n, d) cycles holds the hosts congruent to s+1 mod g, so its
-    largest host is n-g+s+1. That host starts edge k of the cycle for
+    the g = gcd(n, d) cycles holds the hosts congruent to s mod g, so its
+    largest host is n-g+s. That host starts edge k of the cycle for
     k*(d/g) = m-1 (mod m), m = n/g: one anchor k for every cycle of the
     distance. A slot's edges are read off its host list when the search
     enters it. A stack of untried-edge iterators, not recursion, holds the
