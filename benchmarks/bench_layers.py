@@ -5,10 +5,10 @@ generator over the seven sizes of one ``star-roundtrip`` round, the text
 writer that the star round trip also runs (and the same writer on a
 schedule built directly, whose exchanges it checks in full), the
 validator on the chain schedules at n=32, 64 and 256, on a star n=400
-schedule with one bad step and on one failing chain step of 4,000
-exchanges, the text parser on the chains at n=32 and 64, capable pairs
-with a star n=600 center failure, the simulator on star n=600 with five
-failures at five times, and compare at
+schedule with one bad step or with one host off the network, and on one
+failing chain step of 4,000 exchanges, the text parser on the chains at
+n=32 and 64, capable pairs with a star n=600 center failure, the
+simulator on star n=600 with five failures at five times, and compare at
 n=1000 beside n=200. Each times one layer call in process: generators,
 validator, serializers, capable pairs, simulator, oracle and five CLI
 commands. ``test_star_roundtrip`` and
@@ -107,6 +107,17 @@ def test_validate_schedule_one_bad_step(benchmark, star400):
     steps[300] += ((a, b),)
     report = benchmark(validate_schedule, Schedule.from_pairs(star400.topology, steps))
     assert report.violations[0].step_index == 301
+
+
+def test_validate_schedule_off_network_host(benchmark, star400):
+    # Host 401 in step 301's first exchange: the fast accept refuses the
+    # schedule and checks it step by step to find the refused step.
+    steps = [step.exchanges for step in star400.steps]
+    (a, _), *rest = steps[300]
+    steps[300] = ((a, 401), *rest)
+    report = benchmark(validate_schedule, Schedule.from_pairs(star400.topology, steps))
+    first = report.violations[0]
+    assert (first.step_index, first.kind, first.detail) == (301, "unknown-host", "host 401")
 
 
 def test_validate_schedule_failing_chain_step(benchmark):
