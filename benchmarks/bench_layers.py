@@ -16,12 +16,11 @@ commands. ``test_star_roundtrip`` and
 (generate, write, parse, validate) in each format as one number, and
 ``test_cli_star_roundtrip`` times it as two commands, ``schedule`` then
 ``validate``, through ``cli.main``; ``test_cli_chain_roundtrip`` does the
-same for the chain at n=64 in text. pytest-benchmark leaves the cyclic
-garbage collector on, so the library rows still pay for the collector
-passes that a CLI command, which pauses it, no longer does; each row
-starts after a full collection, so that it does not pay for the objects
-the rows before it left. Inputs are built outside the timed call. Run
-from the repository root:
+same for the chain at n=64 in text. Every row times its call with the
+cyclic garbage collector paused, as a CLI command runs, and starts after
+a full collection, so that it does not pay for the objects the rows
+before it left. Inputs are built outside the timed call. Run from the
+repository root:
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py
     PYTHONPATH=src python -m pytest -q benchmarks/bench_layers.py --benchmark-json=out.json
@@ -53,6 +52,8 @@ STAR, LCH = TopologyKind.STAR, TopologyKind.LCH
 # The star sizes of one perfbench star-roundtrip round: the midpoints of
 # seven log-uniform strata of 64..400 hosts.
 ROUND_STARS = (73, 95, 123, 160, 208, 270, 351)
+
+pytestmark = pytest.mark.benchmark(disable_gc=True)
 
 
 @pytest.fixture(autouse=True)
