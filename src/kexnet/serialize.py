@@ -36,7 +36,8 @@ _STEPS_RE = re.compile(f"(?:{_LINE}\n)*")
 # A step line's index, past "step ".
 _INDEX = itemgetter(slice(5, None))
 # A text is read in blocks of whole lines of about this many characters;
-# larger blocks held more strings at once and were read no faster.
+# larger blocks held more strings at once and were read no faster (see
+# tests/test_serialize.py::test_text_parse_holds_little_beyond_its_schedule).
 _BLOCK = 1 << 13
 # Past _STEP_RE and the "step " prefix, a line's ids lie between these marks.
 _ID_MARKS = str.maketrans(":(,)", "    ")

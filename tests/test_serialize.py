@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -438,6 +439,22 @@ def test_block_parse_matches_line_parse(kind, n, hows, block, data):
         got = _outcome(text_to_schedule, text, topo)
     assert got == _outcome(_int_per_id, text, topo)
     assert got == _outcome(_reference_text_to_schedule, text, topo)
+
+
+def test_text_parse_holds_little_beyond_its_schedule():
+    # Read in blocks of about serialize._BLOCK characters, the star n=400
+    # text peaks at about 0.1 MB above the schedule it returns; read whole,
+    # it held about 10 MB more.
+    s = generate_star(400)
+    text = schedule_to_text(s)
+    tracemalloc.start()
+    try:
+        parsed = text_to_schedule(text, s.topology)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == s
+    assert peak - held < 2**20
 
 
 # --- the block's ids read by one json.loads call, against int() per id --------
