@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, starmap
-from operator import add, attrgetter, eq, itemgetter, ne
+from operator import attrgetter, eq, itemgetter, ne
 from typing import NamedTuple
 
 from .topology import NetworkTopology, part_held_twice
@@ -111,9 +111,6 @@ MISSING_PAIR_LINES = 100
 
 _LOW, _HIGH = itemgetter(0), itemgetter(1)
 _INDEX, _EXCHANGES = attrgetter("index"), attrgetter("exchanges")
-# The fast accept takes the steps in blocks of about this many exchanges:
-# past it, its passes over the block slowed down on star steps.
-_BLOCK = 1 << 12
 
 
 def _spans(exchanges) -> list[tuple[int, int]]:
@@ -151,34 +148,18 @@ def _replace_runs(items: list, sizes: list[int], runs: dict[int, list]) -> list:
 
 
 def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
-    """The fast accept, a block of steps at a time: the spans of all steps in
-    turn, each step's count of them, and the positions (from 0) of the steps
-    it does not accept. A step is accepted if each exchange is a tuple of two
-    int hosts in 1..n and no part is held twice. A block holds the steps up
-    to about _BLOCK exchanges, and at least one step."""
-    spans, sizes, failing = [], [], set()
-    starts, first = [0, *accumulate(map(len, map(_EXCHANGES, steps)))], 0
-    while first < len(steps):
-        last = bisect_right(starts, starts[first] + _BLOCK, first + 2) - 1
-        block_spans, block_sizes, block_failing = _accept_block(steps[first:last], t)
-        spans += block_spans
-        sizes += block_sizes
-        failing.update(map(add, block_failing, repeat(first)))
-        first = last
-    return spans, sizes, failing
-
-
-def _accept_block(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
-    """What _accept gives, for steps checked all at once, each check a pass
-    over all their exchanges or one C call per step. A step with an exchange
-    that is not a tuple of two int hosts in 1..n counts no span."""
+    """The fast accept: the spans of all steps in turn, each step's count of
+    them, and the positions (from 0) of the steps it does not accept, each
+    check one pass over all the exchanges or one C call per step. A step is
+    accepted if each exchange is a tuple of two int hosts in 1..n and no
+    part is held twice; a step with an exchange that is not counts no span."""
     n = t.n_hosts
     sizes = list(map(len, map(_EXCHANGES, steps)))
-    exchanges = list(chain.from_iterable(map(_EXCHANGES, steps)))
-    ends, failing = _ends(exchanges, n), {}
+    ends, failing = _ends(list(chain.from_iterable(map(_EXCHANGES, steps))), n), set()
     if ends is None:  # find those steps, one step at a time
-        failing = {p: () for p, step in enumerate(steps) if _ends(step.exchanges, n) is None}
-        ends = _ends(_replace_runs(exchanges, sizes, failing), n)
+        failing = {p for p, step in enumerate(steps) if _ends(step.exchanges, n) is None}
+        kept = (step.exchanges for p, step in enumerate(steps) if p not in failing)
+        ends = _ends(list(chain.from_iterable(kept)), n)
         for p in failing:
             sizes[p] = 0
     return ends[0], sizes, {*failing, *part_held_twice(t.kind, *ends, sizes)}
@@ -295,12 +276,9 @@ def validate_schedule(s: Schedule) -> ValidationReport:
     total = n * (n - 1) // 2
     off = any(lo < 1 or hi > n for spans in replaced.values() for lo, hi in spans)
     if off or len(seen) != total:
-        # The walk stops one pair past the cap: at most cap + len(seen) pairs.
-        # pairs() holds its n hosts, so past as many hosts as spans, it goes
-        # one host's partners at a time; up to there pairs() is the faster
-        # walk (14-15 against 17 ms over star n=400, timeit minimum).
-        pairs = t.pairs() if n <= len(all_spans) else t.pairs_by_host()
-        unseen = filterfalse(seen.__contains__, pairs)
+        # The walk holds one host's partners at a time and stops one pair
+        # past the cap: at most cap + len(seen) pairs.
+        unseen = filterfalse(seen.__contains__, t.pairs_by_host())
         missing = list(islice(unseen, MISSING_PAIR_LINES + 1))
         for p in missing[:MISSING_PAIR_LINES]:
             violations.append(Violation(None, "missing-pair", "(%s,%s)" % p))
