@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, starmap
-from operator import attrgetter, eq, itemgetter, ne
+from functools import reduce
+from itertools import chain, compress, count, filterfalse, islice, repeat, starmap
+from operator import add, attrgetter, eq, itemgetter, ne, or_
 from typing import NamedTuple
 
-from .topology import NetworkTopology, part_held_twice
+from .topology import GEOMETRIES, NetworkTopology, TopologyKind, parts_held
 
 
 class SbepStep(NamedTuple):
@@ -46,11 +47,22 @@ class Schedule:
         exchanges = tuple(chain.from_iterable(built))
         pairs = as_pairs(exchanges)
         if pairs is not exchanges:  # lists made tuples: each step takes its own
-            built = tuple(map(tuple, map(islice, repeat(iter(pairs)), map(len, built))))
-        # tuple.__new__ builds each step in C, not by a Python call as SbepStep(...) does.
-        s = cls(topology, tuple(map(tuple.__new__, repeat(SbepStep), zip(count(1), built))))
+            built = map(tuple, _runs(pairs, map(len, built)))
+        s = cls(topology, _steps(count(1), built))
         object.__setattr__(s, "checked_pairs", pairs)
         return s
+
+
+def _steps(indices: Iterable[int], exchanges: Iterable[tuple]) -> tuple[SbepStep, ...]:
+    """The steps of the given indices and exchange tuples, each built in C by
+    tuple.__new__, not by a Python call as SbepStep(...) is."""
+    return tuple(map(tuple.__new__, repeat(SbepStep), zip(indices, exchanges)))
+
+
+def _runs(items, sizes: Iterable[int]) -> Iterator:
+    """The items in consecutive runs of the given sizes, each to be read
+    through before the next."""
+    return map(islice, repeat(iter(items)), sizes)
 
 
 def _two(e) -> bool:
@@ -113,46 +125,35 @@ _LOW, _HIGH = itemgetter(0), itemgetter(1)
 _INDEX, _EXCHANGES = attrgetter("index"), attrgetter("exchanges")
 
 
-def _spans(exchanges) -> list[tuple[int, int]]:
-    # Each (a, b) as (lo, hi), keeping a tuple that is in order already.
-    return [e if a < b else (b, a) for e in exchanges for a, b in (e,)]
+def _spans(exchanges) -> list[tuple[int, int] | None]:
+    # Each (a, b) as (lo, hi), keeping a tuple that is in order already; a
+    # self-pair has no span and gives None.
+    return [e if a < b else (b, a) if b < a else None for e in exchanges for a, b in (e,)]
 
 
 def _ends(exchanges, n: int) -> tuple[list, list, list] | None:
     """The exchanges' (lo, hi) spans, their lows and their highs, if each
-    exchange is a tuple of two int hosts in 1..n (checked by bounds), else
-    None."""
+    exchange is a tuple of two unequal int hosts in 1..n (checked by
+    bounds), else None."""
     if set(map(type, exchanges)) - {tuple}:
         return None
     try:
         spans = _spans(exchanges)
-    except (TypeError, ValueError):  # an exchange that is not two comparable hosts
+        lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
+    except (TypeError, ValueError):  # not two comparable hosts, or a self-pair's None
         return None
-    lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
     if (set(map(type, lows)) | set(map(type, highs))) - {int}:
         return None
     return (spans, lows, highs) if not spans or 1 <= min(lows) and max(highs) <= n else None
-
-
-def _replace_runs(items: list, sizes: list[int], runs: dict[int, list]) -> list:
-    """The items, laid out in runs of the given sizes, with the run at each
-    position of ``runs`` (ascending) replaced by the items it maps to."""
-    if not runs:
-        return items
-    starts, out, at = [0, *accumulate(sizes)], [], 0
-    for position, replacement in runs.items():
-        out += items[at : starts[position]]
-        out += replacement
-        at = starts[position + 1]
-    return out + items[at:]
 
 
 def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
     """The fast accept: the spans of all steps in turn, each step's count of
     them, and the positions (from 0) of the steps it does not accept, each
     check one pass over all the exchanges or one C call per step. A step is
-    accepted if each exchange is a tuple of two int hosts in 1..n and no
-    part is held twice; a step with an exchange that is not counts no span."""
+    accepted if each exchange is a tuple of two unequal int hosts in 1..n
+    and no part is held twice; a step with an exchange that is not counts
+    no span."""
     n = t.n_hosts
     sizes = list(map(len, map(_EXCHANGES, steps)))
     ends, failing = _ends(list(chain.from_iterable(map(_EXCHANGES, steps))), n), set()
@@ -163,6 +164,29 @@ def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]
         for p in failing:
             sizes[p] = 0
     return ends[0], sizes, {*failing, *part_held_twice(t.kind, *ends, sizes)}
+
+
+def part_held_twice(
+    kind: TopologyKind, spans: list, lows: list[int], highs: list[int], sizes: list[int]
+) -> set[int]:
+    """The positions (from 0) of the steps that hold a part of
+    ``topology.parts_held`` twice, each step a run of ``sizes[p]`` spans
+    (lo, hi), lo < hi, of hosts 1..n, all steps in turn, given with their
+    lows and highs. Each test is a pass over every span, or one C call per
+    step: a set of a step's hosts or pairs stands in for host or cable bits,
+    which for a cable lie up to n^2/2 places up, and a chain step's masks
+    are disjoint when their sum is their union."""
+    part = GEOMETRIES[kind].part
+    if part == "segments":
+        masks = list(map(parts_held, repeat(kind), lows, highs))
+        union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
+        twice = map(ne, map(sum, _runs(masks, sizes)), union)
+    elif part == "cable":
+        twice = map(ne, map(len, map(set, _runs(spans, sizes))), sizes)
+    else:
+        hosts = map(chain, _runs(lows, sizes), _runs(highs, sizes))
+        twice = map(ne, map(len, map(set, hosts)), map(add, sizes, sizes))
+    return set(compress(count(), twice))
 
 
 def _overlaps(index: int, exchanges: list) -> list[Violation]:
@@ -190,9 +214,9 @@ def _overlaps(index: int, exchanges: list) -> list[Violation]:
 
 
 def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
-    """The violations of a step that fails the fast accept, and its
-    exchanges that have a span, which alone go on to the other checks."""
-    out, hosts, exchanges = [], [], []
+    """The violations of a step that fails the fast accept, and the spans of
+    its exchanges that have one, which alone go on to the other checks."""
+    out, hosts, exchanges, spans = [], [], [], []
     for e in step.exchanges:
         span = exchange_span(e)
         if span == "bad-exchange":
@@ -202,6 +226,7 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
         hosts += e
         if span != "unknown-host":
             exchanges.append(tuple(e))
+            spans.append(span)
     load, cap = Counter(h for h in hosts if type(h) is int), t.exchangers_per_host
     for host in sorted(load):
         if not 1 <= host <= t.n_hosts:
@@ -214,7 +239,7 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
         out.append(Violation(step.index, "unknown-host", f"host {other}"))
     if t.geometry.part == "segments":
         out.extend(_overlaps(step.index, exchanges))
-    return out, exchanges
+    return out, spans
 
 
 def _duplicates(spans: list[tuple[int, int]], steps: list[int]) -> list[Violation]:
@@ -259,12 +284,13 @@ def validate_schedule(s: Schedule) -> ValidationReport:
             detail = f"expected index {position + 1}"
             violations.append(Violation(step.index, "step-index", detail))
         if position in failing:
-            found, exchanges = _step_violations(step, t)
+            found, replaced[position] = _step_violations(step, t)
             violations.extend(found)
-            replaced[position] = _spans(exchanges)
-    all_spans = _replace_runs(all_spans, sizes, replaced)
-    for position, spans in replaced.items():
-        sizes[position] = len(spans)
+    if replaced:  # each run read through, so that the next starts after it
+        runs = map(replaced.get, count(), map(list, _runs(all_spans, sizes)))
+        all_spans = list(chain.from_iterable(runs))
+        for position, spans in replaced.items():
+            sizes[position] = len(spans)
     seen = dict.fromkeys(all_spans)
     if len(seen) < len(all_spans):
         # Each span's step index, in a flat list like the spans.

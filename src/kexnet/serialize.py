@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import re
 from contextlib import suppress
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import eq, itemgetter
 
 from .errors import ScheduleFormatError
-from .schedule import SbepStep, Schedule, as_pairs, exchange_span
+from .schedule import SbepStep, Schedule, _runs, _steps, as_pairs, exchange_span
 from .topology import TopologyKind, build_topology, NetworkTopology
 
 # One step line, and step lines each ending in LF.
@@ -94,7 +94,7 @@ def text_to_schedule(text: str, topology: NetworkTopology) -> Schedule:
     return Schedule(topology=topology, steps=tuple(steps))
 
 
-def _block_steps(block: str) -> list[SbepStep] | None:
+def _block_steps(block: str) -> tuple[SbepStep, ...] | None:
     """The steps of a block of step lines, each ending in LF, read with one
     pass per check over the whole block; None if the block is not that, or
     holds an id with a leading zero, which JSON refuses, an id past the int
@@ -113,9 +113,7 @@ def _block_steps(block: str) -> list[SbepStep] | None:
     if any(starmap(eq, pairs)):
         return None
     sizes = map(str.count, bodies, repeat("("))
-    exchanges = map(tuple, map(islice, repeat(iter(pairs)), sizes))
-    # Each SbepStep built in C, as in Schedule.from_pairs.
-    return list(map(tuple.__new__, repeat(SbepStep), zip(indices, exchanges)))
+    return _steps(indices, map(tuple, _runs(pairs, sizes)))
 
 
 def _line_steps(block: str) -> list[SbepStep]:

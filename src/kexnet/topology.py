@@ -17,9 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from itertools import chain, combinations, compress, count, islice, repeat
-from operator import add, eq, ne, or_
+from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 from .errors import InvalidSizeError
@@ -186,36 +184,3 @@ def parts_held(kind: TopologyKind, lo: int, hi: int) -> int:
     if part == "cable":
         return 1 << (hi - 1) * (hi - 2) // 2 + lo - 1
     return 1 << lo | 1 << hi
-
-
-def part_held_twice(
-    kind: TopologyKind, spans: list, lows: list[int], highs: list[int], sizes: list[int]
-) -> set[int]:
-    """The positions (from 0) of the steps that hold a part twice or have a
-    self-pair, each step a run of ``sizes[p]`` spans (lo, hi), lo <= hi, of
-    hosts 1..n, all steps in turn, given with their lows and highs. Each
-    test is a pass over every span, or one C call per step: a set of a
-    step's hosts or pairs stands in for host or cable bits, which for a
-    cable lie up to n^2/2 places up, and a chain step's parts_held masks are
-    disjoint when their sum is their union."""
-    part = GEOMETRIES[kind].part
-    if part == "segments":
-        masks = list(map(parts_held, repeat(kind), lows, highs))
-        union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
-        twice = map(ne, map(sum, _runs(masks, sizes)), union)
-    elif part == "cable":
-        twice = map(ne, map(len, map(set, _runs(spans, sizes))), sizes)
-    else:  # one host twice, as in a self-pair
-        hosts = map(chain, _runs(lows, sizes), _runs(highs, sizes))
-        return set(compress(count(), map(ne, map(len, map(set, hosts)), map(add, sizes, sizes))))
-    out = set(compress(count(), twice))
-    if not all(map(ne, lows, highs)):
-        steps = chain.from_iterable(map(repeat, count(), sizes))
-        out.update(compress(steps, map(eq, lows, highs)))
-    return out
-
-
-def _runs(items: list, sizes: list[int]) -> Iterator:
-    """The items in consecutive runs of the given sizes, each to be read
-    through before the next."""
-    return map(islice, repeat(iter(items)), sizes)

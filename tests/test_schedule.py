@@ -16,6 +16,7 @@ from kexnet.schedule import (
     Schedule,
     ValidationReport,
     Violation,
+    part_held_twice,
     validate_schedule,
 )
 from kexnet.serialize import (
@@ -28,7 +29,6 @@ from kexnet.topology import (
     NetworkTopology,
     TopologyKind,
     build_topology,
-    part_held_twice,
     parts_held,
 )
 
@@ -373,22 +373,27 @@ _STEP_PAIRS = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size
 @given(steps=st.lists(_STEP_PAIRS, max_size=4))
 def test_part_rule_is_the_written_out_one(kind, steps):
     # Over the runs of several steps at once, the rule names each step that
-    # holds a part twice, written out pair by pair, or has a self-pair.
-    expected = set()
+    # holds a part twice, written out pair by pair, among its spans lo < hi.
+    expected, runs = set(), []
     for position, pairs in enumerate(steps):
-        spans = [tuple(sorted(p)) for p in pairs]
-        parts = [_parts(kind, lo, hi) for lo, hi in spans if lo != hi]
-        shared = any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :])
-        if len(parts) < len(spans) or shared:
+        spans = [tuple(sorted(p)) for p in pairs if p[0] != p[1]]
+        parts = [_parts(kind, lo, hi) for lo, hi in spans]
+        if any(not a.isdisjoint(b) for i, a in enumerate(parts) for b in parts[i + 1 :]):
             expected.add(position)
-    spans = [tuple(sorted(p)) for pairs in steps for p in pairs]
+        runs.append(spans)
+    spans = [span for run in runs for span in run]
     lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
-    sizes = [len(pairs) for pairs in steps]
+    sizes = [len(run) for run in runs]
     assert part_held_twice(kind, spans, lows, highs, sizes) == expected
     if kind is not TopologyKind.FCN_FULL:
-        for lo, hi in {(lo, hi) for lo, hi in spans if lo < hi}:
+        for lo, hi in set(spans):
             bits = parts_held(kind, lo, hi)
             assert {b for b in range(10) if bits >> b & 1} == _parts(kind, lo, hi)
+    # A self-pair has no span: the accept refuses its step for every kind.
+    t = build_topology(kind, 9)
+    s = Schedule(t, tuple(SbepStep(i, tuple(pairs)) for i, pairs in enumerate(steps, 1)))
+    self_paired = {p for p, pairs in enumerate(steps) if any(a == b for a, b in pairs)}
+    assert schedule._accept(s.steps, t)[2] == expected | self_paired
 
 
 def test_cables_are_distinct_bits():
