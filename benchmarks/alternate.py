@@ -16,10 +16,12 @@ With ``--workload`` a pair is the checkouts' own, unchanged
 end-to-end ones that ``BENCHMARK.json`` names. With ``--layers`` a pair is
 one ``benchmarks/bench_layers.py`` run in each checkout over the rows that
 ``pytest -k`` selects with the given expression (PYTHONPATH=src, which
-needs pytest-benchmark), and a metric is one row's median time, lower being
-better; a row only one side has is left out. ``--json`` also writes every
-run and the summary (medians, quartiles and ranges of both sides) to a
-file. Only the standard library is used.
+needs pytest-benchmark), and each row gives two metrics, lower being
+better: its median time, and its minimum time as "<row> min", which a slow
+window of the host inside one run moves less; a row only one side has is
+left out. ``--json`` also writes every run and the summary (medians,
+quartiles and ranges of both sides) to a file. Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -53,15 +55,24 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def layer_run(checkout: Path, rows: str) -> dict[str, float]:
     """One bench_layers.py run of ``checkout`` over the rows ``-k rows``
-    selects: each row's median time in ms."""
+    selects: each row's median and minimum time in ms (see layer_times)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "layers.json"
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                 "benchmarks/bench_layers.py", "-k", rows, f"--benchmark-json={out}"]
         env = {**os.environ, "PYTHONPATH": "src"}
         subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
-        doc = json.loads(out.read_text())
-    return {row["name"]: row["stats"]["median"] * 1e3 for row in doc["benchmarks"]}
+        return layer_times(json.loads(out.read_text()))
+
+
+def layer_times(doc: dict) -> dict[str, float]:
+    """A pytest-benchmark ``--benchmark-json`` document's rows in ms: each
+    row's median under its name, and its minimum under "<name> min"."""
+    out = {}
+    for row in doc["benchmarks"]:
+        out[row["name"]] = row["stats"]["median"] * 1e3
+        out[f"{row['name']} min"] = row["stats"]["min"] * 1e3
+    return out
 
 
 def summary(pairs: list[tuple[float, float]], better: str) -> dict:
@@ -127,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
 
     by_pair = {(r["pair"], r["side"]): r for r in runs}
     sides = [(by_pair[p, "parent"], by_pair[p, "change"]) for p in labels]
-    if not args.workload:  # every row both sides timed in every pair
+    if not args.workload:  # every row both sides timed in every pair, its minimum next
         rows = set.intersection(*(set(r) for r in runs)) - {"pair", "side"}
         better = dict.fromkeys(sorted(rows), "lower")
     table = {
@@ -142,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         order = "pairs in turn; the first parent first, the next change first, and so on"
         mode = {"workload": args.workload, "seconds": seconds} if args.workload else {
-            "layers": args.layers, "unit": "ms"}
+            "layers": args.layers, "unit": "ms",
+            "metrics": "each row's median, and its minimum as '<row> min'"}
         doc = {**mode, "order": order, "summary": table, "runs": runs}
         args.json.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
