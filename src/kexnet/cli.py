@@ -167,7 +167,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise UsageError("text schedules need --topology and --n")
         topo = build_topology(TopologyKind(args.topology), args.n)
         schedule = serialize.text_to_schedule(text, topo)
-    report = validate_schedule(schedule)
+    try:
+        report = validate_schedule(schedule)
+    except ValueError as exc:  # a count past Python's int-to-str digit limit
+        raise InvalidSizeError(
+            "the host count is too large: its pair count has too many digits to print"
+        ) from exc
     if report.ok:
         _write_out(args.out, "ok\n")
         return EXIT_OK

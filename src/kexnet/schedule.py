@@ -125,81 +125,69 @@ _LOW, _HIGH = itemgetter(0), itemgetter(1)
 _INDEX, _EXCHANGES = attrgetter("index"), attrgetter("exchanges")
 
 
-def _spans(exchanges) -> list[tuple[int, int] | None]:
-    # Each (a, b) as (lo, hi), keeping a tuple that is in order already; a
-    # self-pair has no span and gives None.
-    return [e if a < b else (b, a) if b < a else None for e in exchanges for a, b in (e,)]
+_NOT_TWO = (None, None)
 
 
-def _ends(exchanges, n: int) -> tuple[list, list, list] | None:
-    """The exchanges' (lo, hi) spans, their lows and their highs, if each
-    exchange is a tuple of two unequal int hosts in 1..n (checked by
-    bounds), else None."""
-    if set(map(type, exchanges)) - {tuple}:
-        return None
-    try:
-        spans = _spans(exchanges)
-        lows, highs = list(map(_LOW, spans)), list(map(_HIGH, spans))
-    except (TypeError, ValueError):  # not two comparable hosts, or a self-pair's None
-        return None
-    if (set(map(type, lows)) | set(map(type, highs))) - {int}:
-        return None
-    return (spans, lows, highs) if not spans or 1 <= min(lows) and max(highs) <= n else None
+def _spans(exchanges, n: int) -> list[tuple[int, int] | None]:
+    """Each exchange's span (lo, hi), keeping a tuple that is in order
+    already, if it is a tuple of two int hosts in 1..n that differ, else
+    None: one pass that never raises."""
+    return [
+        (e if a < b else (b, a) if b < a else None)
+        if type(a) is int is type(b) and 0 < a <= n >= b > 0 else None
+        for e in exchanges
+        for a, b in (e if type(e) is tuple and len(e) == 2 else _NOT_TWO,)
+    ]
 
 
 def _accept(steps: tuple, t: NetworkTopology) -> tuple[list, list[int], set[int]]:
     """The fast accept: the spans of all steps in turn, each step's count of
     them, and the positions (from 0) of the steps it does not accept, each
     check one pass over all the exchanges or one C call per step. A step is
-    accepted if each exchange is a tuple of two unequal int hosts in 1..n
-    and no part is held twice; a step with an exchange that is not counts
-    no span."""
-    n = t.n_hosts
+    accepted if each exchange has a span (see _spans) and no part is held
+    twice; a step with an exchange that has none counts no span."""
     sizes = list(map(len, map(_EXCHANGES, steps)))
-    ends, failing = _ends(list(chain.from_iterable(map(_EXCHANGES, steps))), n), set()
-    if ends is None:  # find those steps, one step at a time
-        failing = {p for p, step in enumerate(steps) if _ends(step.exchanges, n) is None}
-        kept = (step.exchanges for p, step in enumerate(steps) if p not in failing)
-        ends = _ends(list(chain.from_iterable(kept)), n)
-        for p in failing:
-            sizes[p] = 0
-    return ends[0], sizes, {*failing, *part_held_twice(t.kind, *ends, sizes)}
+    spans = _spans(chain.from_iterable(map(_EXCHANGES, steps)), t.n_hosts)
+    failing = set()
+    if not all(spans):  # a step with an exchange of no span fails and counts none
+        runs = list(map(list, _runs(spans, sizes)))
+        failing = {p for p, run in enumerate(runs) if not all(run)}
+        runs = [[] if p in failing else run for p, run in enumerate(runs)]
+        sizes, spans = list(map(len, runs)), list(chain.from_iterable(runs))
+    return spans, sizes, failing | part_held_twice(t.kind, spans, sizes)
 
 
-def part_held_twice(
-    kind: TopologyKind, spans: list, lows: list[int], highs: list[int], sizes: list[int]
-) -> set[int]:
+def part_held_twice(kind: TopologyKind, spans: list, sizes: list[int]) -> set[int]:
     """The positions (from 0) of the steps that hold a part of
     ``topology.parts_held`` twice, each step a run of ``sizes[p]`` spans
-    (lo, hi), lo < hi, of hosts 1..n, all steps in turn, given with their
-    lows and highs. Each test is a pass over every span, or one C call per
-    step: a set of a step's hosts or pairs stands in for host or cable bits,
-    which for a cable lie up to n^2/2 places up, and a chain step's masks
-    are disjoint when their sum is their union."""
+    (lo, hi), lo < hi, of hosts 1..n, all steps in turn. Each test is a
+    pass over every span, or one C call per step: a set of a step's hosts
+    or pairs stands in for host or cable bits, which for a cable lie up to
+    n^2/2 places up, and a chain step's masks are disjoint when their sum
+    is their union."""
     part = GEOMETRIES[kind].part
     if part == "segments":
-        masks = list(map(parts_held, repeat(kind), lows, highs))
+        masks = list(map(parts_held, repeat(kind), map(_LOW, spans), map(_HIGH, spans)))
         union = map(reduce, repeat(or_), _runs(masks, sizes), repeat(0))
         twice = map(ne, map(sum, _runs(masks, sizes)), union)
     elif part == "cable":
         twice = map(ne, map(len, map(set, _runs(spans, sizes))), sizes)
     else:
-        hosts = map(chain, _runs(lows, sizes), _runs(highs, sizes))
-        twice = map(ne, map(len, map(set, hosts)), map(add, sizes, sizes))
+        lows, highs = _runs(map(_LOW, spans), sizes), _runs(map(_HIGH, spans), sizes)
+        twice = map(ne, map(len, map(set, map(chain, lows, highs))), map(add, sizes, sizes))
     return set(compress(count(), twice))
 
 
-def _overlaps(index: int, exchanges: list) -> list[Violation]:
+def _overlaps(index: int, exchanges: list, spans: list) -> list[Violation]:
     """Each pair of exchanges whose chain spans overlap inside, not only at
     an endpoint host, in exchange order: at most MISSING_PAIR_LINES of them,
     then one line with the count of the rest. A span overlaps the spans that
     start before it ends, less those that end by its start and itself; only
     spans that overlap another are paired up."""
-    exchanges = sorted(exchanges)
-    spans = _spans(exchanges)
-    starts, ends = sorted(lo for lo, _ in spans), sorted(hi for _, hi in spans)
-    counts = [bisect_left(starts, hi) - bisect_right(ends, lo) - 1 for lo, hi in spans]
-    inside = [(x, span) for x, span, c in zip(exchanges, spans, counts) if c]
+    pairs = sorted(zip(exchanges, spans))
+    starts, ends = sorted(map(_LOW, spans)), sorted(map(_HIGH, spans))
+    counts = [bisect_left(starts, hi) - bisect_right(ends, lo) - 1 for _, (lo, hi) in pairs]
+    inside = [pair for pair, c in zip(pairs, counts) if c]
     found = (
         Violation(index, "lch-overlap", "(%s,%s) overlaps (%s,%s)" % (*x, *y))
         for i, (x, (lo, hi)) in enumerate(inside)
@@ -238,7 +226,7 @@ def _step_violations(step: SbepStep, t: NetworkTopology) -> tuple[list, list]:
     for other in sorted({repr(h) for h in hosts if type(h) is not int}):
         out.append(Violation(step.index, "unknown-host", f"host {other}"))
     if t.geometry.part == "segments":
-        out.extend(_overlaps(step.index, exchanges))
+        out.extend(_overlaps(step.index, exchanges, spans))
     return out, spans
 
 
@@ -254,7 +242,9 @@ def _duplicates(spans: list[tuple[int, int]], steps: list[int]) -> list[Violatio
 
 
 def validate_schedule(s: Schedule) -> ValidationReport:
-    """Check completeness and per-step feasibility; never raises.
+    """Check completeness and per-step feasibility. Raises nothing but a
+    ValueError for a number to report past Python's int-to-str digit limit,
+    as the count of missing pairs is for a host count of about 2,150 digits.
 
     Violation kinds: ``step-index``, ``missing-pair``, ``duplicate-pair``,
     ``capacity``, ``lch-overlap``, ``unknown-host``, ``bad-exchange``. A

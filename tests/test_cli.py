@@ -168,6 +168,24 @@ def test_refuses_counts_too_long_to_print(capsys, argv, what):
     assert err == f"kexnet: --n is too large: its {what} too many digits to print\n"
 
 
+@pytest.mark.skipif(not _LIMIT, reason="this Python prints an int of any length")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_validate_refuses_counts_too_long_to_print(fmt, tmp_path, capsys):
+    # n parses, but the count of missing pairs has about twice its digits.
+    n = "1" + "0" * (_LIMIT // 2 + 50)
+    path = tmp_path / "s"
+    if fmt == "json":
+        path.write_text('{"topology": {"kind": "star", "n_hosts": %s}, "steps": []}' % n)
+    else:
+        path.write_text("step 1: (1,2)\n")
+    argv = ["validate", "--in", str(path), "--topology", "star", "--n", n]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "kexnet: the host count is too large: its pair count has too many digits to print\n"
+    )
+
+
 _SCHEDULE_HEAD = b'{"topology": {"kind": "star", "n_hosts": 3}, "steps": '
 
 
@@ -224,11 +242,15 @@ _json_values = st.recursive(
     ),
     max_leaves=20,
 )
+# A host count of more than half the digit limit, whose pair count passes it.
+_past_half_the_limit = (
+    st.integers(_LIMIT // 2 + 1, _LIMIT - 1).map(lambda d: 10**d) if _LIMIT else st.nothing()
+)
 _schedule_docs = st.fixed_dictionaries(
     {
         "topology": st.fixed_dictionaries(
             {"kind": st.sampled_from(["star", "lch", "fcn1", "ring"]) | _json_values,
-             "n_hosts": st.integers(-1, 5) | _json_values}
+             "n_hosts": st.integers(-1, 5) | _json_values | _past_half_the_limit}
         ),
         "steps": st.lists(
             st.lists(st.lists(st.integers(-1, 6), max_size=3) | _json_values, max_size=3),

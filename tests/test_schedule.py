@@ -337,6 +337,18 @@ def test_one_bad_step_alone_takes_the_per_step_path(how, monkeypatch):
         assert report == _capped(_reference_validate(bad))
 
 
+@pytest.mark.parametrize("how", ["host n+1", "self-pair"])
+def test_a_refused_exchange_takes_one_span_pass(how, monkeypatch):
+    # The accept's one span pass finds the step of a refused exchange: the
+    # accept looks at no step on its own, nor again at the other 498.
+    bad = _one_bad_step(generate_star(400), 300, how)
+    passes, spans = [], schedule._spans
+    spy = lambda *args: passes.append(args) or spans(*args)
+    monkeypatch.setattr(schedule, "_spans", spy)
+    assert schedule._accept(bad.steps, bad.topology)[2] == {300}
+    assert len(passes) == 1
+
+
 def _parts(kind, a, b):
     """What the exchange (a, b), a != b, holds, written out for the tests:
     its two hosts, the chain segments it crosses, or its fcn-full cable."""
@@ -382,9 +394,8 @@ def test_part_rule_is_the_written_out_one(kind, steps):
             expected.add(position)
         runs.append(spans)
     spans = [span for run in runs for span in run]
-    lows, highs = [lo for lo, _ in spans], [hi for _, hi in spans]
     sizes = [len(run) for run in runs]
-    assert part_held_twice(kind, spans, lows, highs, sizes) == expected
+    assert part_held_twice(kind, spans, sizes) == expected
     if kind is not TopologyKind.FCN_FULL:
         for lo, hi in set(spans):
             bits = parts_held(kind, lo, hi)
